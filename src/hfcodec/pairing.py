@@ -7,7 +7,9 @@ Three pairings with different growth profiles:
 * bitmerge - interleaves the two bit strings, balanced in both
 
 ``to_tuple``/``from_tuple`` generalize bitmerge to a fixed arity k by
-dealing the bits of n round-robin into k streams, and ``ftuple2nat``/
+dealing the bits of n round-robin into k streams (bitmerge is their
+k == 2 case; codes above natbits._LOOP_BITS bits are dealt as strided
+slices of the bit string, linear in the bit length), and ``ftuple2nat``/
 ``nat2ftuple`` extend that to tuples of arbitrary length by folding the
 length into a pepis pair.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-from .natbits import _check_natural
+from .natbits import _LOOP_BITS, _check_natural, _rbitstr, _rbitstr2nat
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -58,41 +60,27 @@ def _dyadic_valuation(m: int) -> int:
 def bitmerge_pair(p: tuple[int, int]) -> int:
     """Interleave two bit strings: first on even positions, second on odd."""
     x, y = p
-    _check_natural(x)
-    _check_natural(y)
-    out = 0
-    for n, offset in ((x, 0), (y, 1)):
-        while n:
-            low = n & -n
-            out |= 1 << (2 * (low.bit_length() - 1) + offset)
-            n ^= low
-    return out
+    return from_tuple((x, y))
 
 
 def bitmerge_unpair(n: int) -> tuple[int, int]:
     """Split a bit string into its even-position and odd-position halves."""
-    _check_natural(n)
-    x = y = 0
-    while n:
-        low = n & -n
-        q, r = divmod(low.bit_length() - 1, 2)
-        if r:
-            y |= 1 << q
-        else:
-            x |= 1 << q
-        n ^= low
+    x, y = to_tuple(2, n)
     return x, y
 
 
 def to_tuple(k: int, n: int) -> list[int]:
-    """Deal the bits of n round-robin into k streams (a bit-matrix transpose).
+    """Deal the bits of n round-robin into k streams.
 
-    Component i collects bits i, i+k, i+2k, ... of n.  At k == 2 this is
-    exactly bitmerge_unpair.
+    Component i collects bits i, i+k, i+2k, ... of n: the slice [i::k] of
+    n's little-endian bit string.  At k == 2 this is bitmerge_unpair.
     """
     if k < 1:
         raise ValueError(f"arity must be >= 1, got {k}")
     _check_natural(n)
+    if int.bit_length(n) > _LOOP_BITS:
+        bs = _rbitstr(n)
+        return [_rbitstr2nat(bs[i::k]) for i in range(k)]
     out = [0] * k
     while n:
         low = n & -n
@@ -103,13 +91,24 @@ def to_tuple(k: int, n: int) -> list[int]:
 
 
 def from_tuple(ns: Sequence[int]) -> int:
-    """Merge len(ns) bit streams round-robin; inverse of to_tuple at that arity."""
+    """Merge len(ns) bit streams round-robin; inverse of to_tuple at that arity.
+
+    Component i's bit string is written to the slice [i::k] of the
+    result's bit string.
+    """
     k = len(ns)
     if k < 1:
         raise ValueError("cannot merge an empty tuple")
+    for m in ns:
+        _check_natural(m)
+    width = max(map(int.bit_length, ns))
+    if k * width > _LOOP_BITS:
+        buf = bytearray(b"0") * (k * width)
+        for i, m in enumerate(ns):
+            buf[i::k] = _rbitstr(m).ljust(width, b"0")
+        return _rbitstr2nat(buf)
     out = 0
     for i, m in enumerate(ns):
-        _check_natural(m)
         while m:
             low = m & -m
             out |= 1 << ((low.bit_length() - 1) * k + i)

@@ -6,14 +6,17 @@ function [v0..vk] (a tuple of naturals) rides on top of that: its values
 are turned into the gaps of a strictly increasing sequence by fun2set.
 The run-length pair bits2rle/rle2bits gives a second, self-delimiting
 function view of the same bits.
+
+Sets of codes above natbits._LOOP_BITS bits are read and written through
+their ASCII bit string, so every codec here is linear in the bit length.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Iterable, Sequence
+from itertools import compress, count, groupby
+from typing import Sequence
 
-from .natbits import _check_natural, from_rbits, to_rbits0
+from .natbits import _BIT_VALUES, _LOOP_BITS, _check_natural, _rbitstr
 
 
 def _check_increasing(s: Sequence[int]) -> None:
@@ -32,13 +35,24 @@ def set2nat(s: Sequence[int]) -> int:
     return _set2nat(s)
 
 
-def _set2nat(s: Iterable[int]) -> int:
-    return sum(1 << e for e in s)
+def _set2nat(s: Sequence[int]) -> int:
+    # s is strictly increasing, so s[-1] fixes the bit length; big sets
+    # mark their elements in a most-significant-first bit string instead
+    # of summing powers of 2
+    if not s or s[-1] < _LOOP_BITS:
+        return sum(1 << e for e in s)
+    top = s[-1]
+    buf = bytearray(b"0") * (top + 1)
+    for e in s:
+        buf[top - e] = 0x31  # ord("1")
+    return int(buf, 2)
 
 
 def nat2set(n: int) -> list[int]:
     """Positions of the set bits of n, in increasing order."""
     _check_natural(n)
+    if int.bit_length(n) > _LOOP_BITS:
+        return list(compress(count(), _rbitstr(n).translate(_BIT_VALUES)))
     out = []
     while n:
         low = n & -n
@@ -103,10 +117,24 @@ def rle2bits(rs: Sequence[int]) -> list[int]:
 
 
 def nat2rle(n: int) -> list[int]:
-    """Run lengths (minus one) of n's bits; nat2rle(0) == []."""
-    return bits2rle(to_rbits0(n))
+    """Run lengths (minus one) of n's bits; nat2rle(0) == [].
+
+    Bit i of n ^ (n >> 1) is set exactly where a run ends, so the run
+    lengths are the gaps that nat2fun reads off that natural.
+    """
+    _check_natural(n)
+    return nat2fun(n ^ (n >> 1))
 
 
 def rle2nat(rs: Sequence[int]) -> int:
-    """Evaluate run lengths back to a natural; total on any list of naturals."""
-    return from_rbits(rle2bits(rs))
+    """Evaluate run lengths back to a natural; total on any list of naturals.
+
+    fun2nat marks the run ends; a suffix XOR (shifts doubling up to the
+    bit length) turns the marks back into the runs.
+    """
+    n = fun2nat(rs)
+    shift = 1
+    while n >> shift:
+        n ^= n >> shift
+        shift <<= 1
+    return n
