@@ -12,24 +12,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from . import hftree, pairing, permcodec, selfcheck, setfun
-
-FLAT_CODECS = (
-    "set", "fun", "ftuple", "rle", "perm", "factoradic-r", "factoradic-l",
-    "pair-cantor", "pair-pepis", "pair-bitmerge", "tuple",
-)
-TREE_CODECS = ("hfs", "hff", "hff1", "hff2", "hfp")
-CODEC_NAMES = FLAT_CODECS + TREE_CODECS
-
-_TREE_MAKERS = {
-    "hfs": hftree.codec_hfs,
-    "hff": hftree.codec_hff,
-    "hff1": hftree.codec_hff1,
-    "hff2": hftree.codec_hff2,
-    "hfp": hftree.codec_hfp,
-}
 
 _DEFAULT_DEPTH_LIMIT = 1_000_000
 
@@ -80,141 +66,117 @@ def _format_list(values: Sequence[int]) -> str:
 
 def _check_flags(args: argparse.Namespace) -> None:
     codec = args.codec
-    if args.ulimit and codec not in TREE_CODECS:
+    if args.ulimit and codec not in hftree.TREE_CODECS:
         raise UsageError(f"--ulimit applies to tree codecs only, not {codec!r}")
-    if getattr(args, "arity", None) is not None and codec != "tuple":
+    if args.arity is not None and codec != "tuple":
         raise UsageError("--arity applies to the tuple codec only")
-    if getattr(args, "sized", False) and codec != "perm":
+    if args.sized and codec != "perm":
         raise UsageError("--sized applies to the perm codec only")
-    if codec == "tuple" and getattr(args, "arity", None) is None and args.command != "encode":
+    if codec == "tuple" and args.arity is None and args.command != "encode":
         raise UsageError("the tuple codec needs --arity")
 
 
 def _resolve_format(codec: str, fmt: str | None, command: str) -> str:
     if fmt is None:
-        fmt = "tree" if codec in TREE_CODECS else "list"
-    if fmt in ("show", "tree", "dot") and codec not in TREE_CODECS:
+        fmt = "tree" if codec in hftree.TREE_CODECS else "list"
+    if fmt in ("show", "tree", "dot") and codec not in hftree.TREE_CODECS:
         raise UsageError(f"format {fmt!r} needs a tree codec, not {codec!r}")
-    if fmt == "list" and codec in TREE_CODECS:
+    if fmt == "list" and codec in hftree.TREE_CODECS:
         raise UsageError(f"format 'list' needs a flat codec, not {codec!r}")
     if fmt == "dot" and command == "enumerate":
         raise UsageError("format 'dot' is multi-line and cannot be streamed")
     return fmt
 
 
-def _tree_style(codec: str) -> hftree.RenderStyle:
-    return hftree.SET_STYLE if codec == "hfs" else hftree.FUN_STYLE
-
-
-def _decode_flat(codec: str, n: int, arity: int | None) -> list[int]:
-    if codec == "set":
-        return setfun.nat2set(n)
-    if codec == "fun":
-        return setfun.nat2fun(n)
-    if codec == "ftuple":
-        return pairing.nat2ftuple(n)
-    if codec == "rle":
-        return setfun.nat2rle(n)
-    if codec == "perm":
-        return permcodec.nat2perm(n)
-    if codec == "factoradic-r":
-        return permcodec.fr(n)
-    if codec == "factoradic-l":
-        return permcodec.fl(n)
-    if codec == "pair-cantor":
-        return list(pairing.cantor_unpair(n))
-    if codec == "pair-pepis":
-        return list(pairing.pepis_unpair(n))
-    if codec == "pair-bitmerge":
-        return list(pairing.bitmerge_unpair(n))
-    if codec == "tuple":
-        return pairing.to_tuple(arity, n)
-    raise UsageError(f"unknown codec {codec!r}")
-
-
-def _encode_flat(codec: str, values: list[int], arity: int | None) -> int:
-    if codec == "set":
-        return setfun.set2nat(values)
-    if codec == "fun":
-        return setfun.fun2nat(values)
-    if codec == "ftuple":
-        return pairing.ftuple2nat(values)
-    if codec == "rle":
-        return setfun.rle2nat(values)
-    if codec == "perm":
-        return permcodec.perm2nat(values)
-    if codec == "factoradic-r":
-        return permcodec.rf(values)
-    if codec == "factoradic-l":
-        return permcodec.lf(values)
-    if codec in ("pair-cantor", "pair-pepis", "pair-bitmerge"):
+def _pair_encoder(name: str, pair: Callable[[int, int], int]) -> Callable[[list[int]], int]:
+    def encode(values: list[int]) -> int:
         if len(values) != 2:
-            raise UsageError(f"{codec} expects a pair [x,y], got {len(values)} values")
-        x, y = values
-        if codec == "pair-cantor":
-            return pairing.cantor_pair(x, y)
-        if codec == "pair-pepis":
-            return pairing.pepis_pair(x, y)
-        return pairing.bitmerge_pair((x, y))
-    if codec == "tuple":
-        if arity is not None and arity != len(values):
-            raise UsageError(f"--arity {arity} does not match {len(values)} values")
-        return pairing.from_tuple(values)
-    raise UsageError(f"unknown codec {codec!r}")
+            raise UsageError(f"{name} expects a pair [x,y], got {len(values)} values")
+        return pair(*values)
+    return encode
 
 
-def _decode_one(args: argparse.Namespace, n: int, fmt: str) -> str:
-    codec = args.codec
-    if codec in TREE_CODECS:
-        tree = hftree.unrank(_TREE_MAKERS[codec](args.ulimit), n,
-                             max_depth=_depth_limit())
-        if fmt == "tree":
-            return hftree.serialize(tree)
-        if fmt == "show":
-            return hftree.render(_tree_style(codec), args.ulimit, tree)
-        if fmt == "dot":
-            return hftree.to_dot(tree)
-        return str(n)  # decimal: the tree's own code
+# every flat codec by its CLI name: (decode, encode); tuple's decode takes --arity first
+_FLAT: dict[str, tuple[Callable[..., Sequence[int]], Callable[[list[int]], int]]] = {
+    "set": (setfun.nat2set, setfun.set2nat),
+    "fun": (setfun.nat2fun, setfun.fun2nat),
+    "ftuple": (pairing.nat2ftuple, pairing.ftuple2nat),
+    "rle": (setfun.nat2rle, setfun.rle2nat),
+    "perm": (permcodec.nat2perm, permcodec.perm2nat),
+    "factoradic-r": (permcodec.fr, permcodec.rf),
+    "factoradic-l": (permcodec.fl, permcodec.lf),
+    "pair-cantor": (pairing.cantor_unpair,
+                    _pair_encoder("pair-cantor", pairing.cantor_pair)),
+    "pair-pepis": (pairing.pepis_unpair,
+                   _pair_encoder("pair-pepis", pairing.pepis_pair)),
+    "pair-bitmerge": (pairing.bitmerge_unpair,
+                      _pair_encoder("pair-bitmerge", lambda x, y: pairing.bitmerge_pair((x, y)))),
+    "tuple": (pairing.to_tuple, pairing.from_tuple),
+}
+CODEC_NAMES = (*_FLAT, *hftree.TREE_CODECS)
+
+
+def _decoder(args: argparse.Namespace, fmt: str) -> Callable[[int], str]:
+    """The function from a code to its output line; each command builds it once.
+
+    decimal echoes the code without decoding it, for every codec.
+    """
     if fmt == "decimal":
-        return str(n)
-    return _format_list(_decode_flat(codec, n, getattr(args, "arity", None)))
+        return str
+    make = hftree.TREE_CODECS.get(args.codec)
+    if make is None:
+        decode = _FLAT[args.codec][0]
+        if args.arity is not None:  # _check_flags allows --arity on tuple only
+            decode = partial(decode, args.arity)
+        return lambda n: _format_list(decode(n))
+    codec, max_depth = make(args.ulimit), _depth_limit()
+    style = hftree.SET_STYLE if args.codec == "hfs" else hftree.FUN_STYLE
+    text = {"tree": hftree.serialize, "dot": hftree.to_dot,
+            "show": partial(hftree.render, style, args.ulimit)}[fmt]
+    return lambda n: text(hftree.unrank(codec, n, max_depth=max_depth))
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     _check_flags(args)
     fmt = _resolve_format(args.codec, args.format, args.command)
-    if getattr(args, "sized", False):
+    if args.sized:
+        if fmt != "list":
+            raise UsageError(f"--sized prints a permutation list, not format {fmt!r}")
         parts = args.value.split()
         if len(parts) != 2:
             raise UsageError(f"--sized expects 'SIZE RANK', got {args.value!r}")
         size, rank_ = map(_parse_natural, parts)
         print(_format_list(permcodec.nth2perm((size, rank_))))
         return 0
-    print(_decode_one(args, _parse_natural(args.value), fmt))
+    n = _parse_natural(args.value)  # a bad value is reported before a bad depth limit
+    print(_decoder(args, fmt)(n))
     return 0
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     _check_flags(args)
-    codec = args.codec
-    if codec in TREE_CODECS:
+    make = hftree.TREE_CODECS.get(args.codec)
+    if make is not None:
         tree = hftree.deserialize(args.structure, max_depth=_depth_limit())
-        print(hftree.rank(_TREE_MAKERS[codec](args.ulimit), tree))
+        print(hftree.rank(make(args.ulimit), tree))
         return 0
     values = _parse_nat_list(args.structure)
-    if getattr(args, "sized", False):
+    if args.sized:
         size, rank_ = permcodec.perm2nth(values)
         print(f"{size} {rank_}")
         return 0
-    print(_encode_flat(codec, values, getattr(args, "arity", None)))
+    if args.arity is not None and args.arity != len(values):
+        raise UsageError(f"--arity {args.arity} does not match {len(values)} values")
+    print(_FLAT[args.codec][1](values))
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_flags(args)
     fmt = _resolve_format(args.codec, args.format, args.command)
+    decode = _decoder(args, fmt)
     for n in range(args.start, args.start + args.count):
-        print(_decode_one(args, n, fmt))
+        print(decode(n))
     return 0
 
 
@@ -263,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_codec_flags(p, with_format=True)
     p.add_argument("start", type=_parse_natural, help="first number to decode")
     p.add_argument("count", type=_parse_natural, help="how many lines to print")
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(func=_cmd_enumerate, sized=False)
 
     p = sub.add_parser("show", help="decode and render readably (tree codecs)")
     add_codec_flags(p, with_format=False)

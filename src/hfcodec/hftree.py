@@ -145,6 +145,16 @@ def codec_hfp(ulimit: int = 0) -> Codec:
     return Codec("hfp", ulimit, permcodec.nat2perm, permcodec.perm2nat)
 
 
+# every stock tree codec by its CLI name; the CLI and selfcheck read this table
+TREE_CODECS: dict[str, Callable[[int], Codec]] = {
+    "hfs": codec_hfs,
+    "hff": codec_hff,
+    "hff1": codec_hff1,
+    "hff2": codec_hff2,
+    "hfp": codec_hfp,
+}
+
+
 def unrank(codec: Codec, n: int, max_depth: int | None = None) -> Tree:
     """Decode n into a tree: Atom(n) below ulimit, else a forest of children.
 
@@ -274,6 +284,19 @@ def render(style: RenderStyle, ulimit: int, t: Tree) -> str:
     play the fully bracketed form is much harder to scan, and both
     objects fold back to small fixed codes anyway.
     """
+    empty = "0" if ulimit > 1 else style.open + style.close
+    return _print(t, style, empty, "", ulimit)
+
+
+def _print(t: Tree, style: RenderStyle, empty: str, atom_prefix: str,
+           ulimit: int | None) -> str:
+    """The printer loop behind render and serialize.
+
+    Forests print with style's brackets and separator, and as empty when
+    they have no children.  Atoms print as atom_prefix and a decimal,
+    checked against ulimit unless it is None.
+    """
+    open_, separator, close = style.open, style.separator, style.close
     out: list[str] = []
     stack: list[Tree | str] = [t]
     while stack:
@@ -281,16 +304,17 @@ def render(style: RenderStyle, ulimit: int, t: Tree) -> str:
         if isinstance(item, str):
             out.append(item)
         elif isinstance(item, Atom):
-            out.append(str(_atom_value(item, ulimit)))
+            value = item.value if ulimit is None else _atom_value(item, ulimit)
+            out.append(atom_prefix + str(value))
         elif not item.children:
-            out.append("0" if ulimit > 1 else style.open + style.close)
+            out.append(empty)
         else:
-            pieces: list[Tree | str] = [style.open]
+            pieces: list[Tree | str] = [open_]
             for i, child in enumerate(item.children):
                 if i:
-                    pieces.append(style.separator)
+                    pieces.append(separator)
                 pieces.append(child)
-            pieces.append(style.close)
+            pieces.append(close)
             stack.extend(reversed(pieces))
     return "".join(out)
 
@@ -335,25 +359,7 @@ def serialize(t: Tree) -> str:
 
     Forest[Atom(2), Forest()] serializes to "(a2 ())".
     """
-    out: list[str] = []
-    stack: list[Tree | str] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Atom):
-            out.append(f"a{item.value}")
-        elif not item.children:
-            out.append("()")
-        else:
-            pieces: list[Tree | str] = ["("]
-            for i, child in enumerate(item.children):
-                if i:
-                    pieces.append(" ")
-                pieces.append(child)
-            pieces.append(")")
-            stack.extend(reversed(pieces))
-    return "".join(out)
+    return _print(t, FUN_STYLE, "()", "a", None)
 
 
 def deserialize(text: str, max_depth: int | None = None) -> Tree:

@@ -206,8 +206,7 @@ def _law_render_goldens(max_n: int, rng: random.Random) -> None:
 
 def _law_serialize_round_trip(max_n: int, rng: random.Random) -> None:
     assert hftree.serialize(hftree.Forest((hftree.Atom(2), hftree.Forest()))) == "(a2 ())"
-    for make in (hftree.codec_hfs, hftree.codec_hff, hftree.codec_hff1,
-                 hftree.codec_hff2, hftree.codec_hfp):
+    for make in hftree.TREE_CODECS.values():
         for u in (0, 10):
             codec = make(u)
             for n in list(range(min(max_n, 300) + 1)) + _randoms(rng, 5):
@@ -229,11 +228,8 @@ LAWS: list[tuple[str, Callable[[int, random.Random], None]]] = [
     ("rle-round-trip", _law_rle_round_trip),
     ("factoradic-round-trip", _law_factoradic_round_trip),
     ("perm-round-trip", _law_perm_round_trip),
-    ("hfs-round-trip", _tree_codec_law(hftree.codec_hfs)),
-    ("hff-round-trip", _tree_codec_law(hftree.codec_hff)),
-    ("hff1-round-trip", _tree_codec_law(hftree.codec_hff1)),
-    ("hff2-round-trip", _tree_codec_law(hftree.codec_hff2)),
-    ("hfp-round-trip", _tree_codec_law(hftree.codec_hfp)),
+    *((f"{name}-round-trip", _tree_codec_law(make))
+      for name, make in hftree.TREE_CODECS.items()),
     ("hfs-goldens", _law_hfs_goldens),
     ("render-goldens", _law_render_goldens),
     ("serialize-round-trip", _law_serialize_round_trip),

@@ -37,6 +37,13 @@ def test_decode_goldens(capsys):
         (["show", "--codec", "hfs", "42"], "{{{}},{{},{{}}},{{},{{{}}}}}"),
         (["show", "--codec", "hff", "--ulimit", "10", "1234567890"],
          "(3 2 0 1 7 0 1 2 0 2 2)"),
+        (["decode", "--codec", "rle", "2008"], "[2,1,0,4]"),
+        (["decode", "--codec", "factoradic-l", "42"], "[1,3,0,0,0]"),
+        (["decode", "--codec", "pair-pepis", "41"], "[1,10]"),
+        (["show", "--codec", "hff1", "--ulimit", "10", "1234567890"],
+         "(((((0 3)) (((2 0 1))) 1)))"),
+        (["show", "--codec", "hff2", "--ulimit", "10", "1234567890"],
+         "(2 0 1 1 0 0 6 1 0 0 1 1 1 0 1 0)"),
     ]
     for argv, expected in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -136,6 +143,7 @@ def test_tree_round_trip_through_cli(capsys, codec, ulimit):
         ["decode", "--codec", "set", "-1"],
         ["decode", "--codec", "perm", "--sized", "2008"],
         ["decode", "--codec", "perm", "--sized", "2 5"],
+        ["decode", "--codec", "perm", "--sized", "--format", "decimal", "8 2008"],
         ["encode", "--codec", "set", "1,2"],
         ["encode", "--codec", "set", "[2,1]"],
         ["encode", "--codec", "ftuple", "[0]"],
@@ -155,6 +163,15 @@ def test_usage_and_domain_errors_exit_2(capsys, argv):
     assert err != "", argv
 
 
+def test_codec_names_in_order(capsys):
+    code, out, err = run_cli(capsys, "decode", "--codec", "nosuch", "42")
+    assert code == 2
+    # argparse quotes the choices on some Python versions and not on others
+    assert ("choose from set, fun, ftuple, rle, perm, factoradic-r, factoradic-l, "
+            "pair-cantor, pair-pepis, pair-bitmerge, tuple, hfs, hff, hff1, hff2, hfp)"
+            in err.replace("'", ""))
+
+
 def test_depth_limit_env(capsys, monkeypatch):
     deep = str(1 << 600)
     code, out, err = run_cli(capsys, "decode", "--codec", "hfs", deep)
@@ -164,6 +181,9 @@ def test_depth_limit_env(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "decode", "--codec", "hfs", deep)
     assert code == 2
     assert "depth" in err
+    # decimal echoes the code without decoding it, so no depth limit applies
+    code, out, err = run_cli(capsys, "decode", "--codec", "hfs", "--format", "decimal", deep)
+    assert (code, out, err) == (0, deep + "\n", "")
 
     monkeypatch.setenv("HFCODEC_RECURSION_LIMIT", "abc")
     code, out, err = run_cli(capsys, "decode", "--codec", "hfs", "42")
