@@ -110,12 +110,9 @@ def from_base(base: int, ds: DigitList | Iterable[int]) -> int:
     if isinstance(ds, DigitList):
         if ds.base != base:
             raise ValueError(f"digit list carries base {ds.base}, expected {base}")
-        digits = ds.digits
     else:
-        digits = tuple(ds)
-        for d in digits:
-            if not 0 <= d < base:
-                raise ValueError(f"digit {d} out of range for base {base}")
+        ds = DigitList(base, ds)
+    digits = ds.digits
     if base & (base - 1) == 0:
         if not digits:
             return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import hftree, natbits, pairing, permcodec, setfun
 

@@ -231,10 +231,20 @@ def test_deserialize_depth_cap():
 
 def test_deep_hff1_round_trip():
     c = codec_hff1()
-    n = random.Random(13).getrandbits(2000) | (1 << 1999)
-    t = unrank(c, n)
-    assert rank(c, t) == n
-    assert deserialize(serialize(t)) == t
+    # (code, distinct subtrees): a random code 25 levels deep, and 1 << 5000,
+    # a chain 5002 levels deep that a recursive walk could not get through
+    cases = [(random.Random(13).getrandbits(2000) | (1 << 1999), 437), (1 << 5000, 5002)]
+    for n, dag_nodes in cases:
+        try:
+            t = unrank(c, n)
+            assert rank(c, t) == n
+            assert deserialize(serialize(t)) == t
+            assert len(to_dag(t).nodes) == dag_nodes
+            assert hash(t) == hash(unrank(c, n))
+        except RecursionError:
+            # drop the recursive traceback: pytest compares the locals of its
+            # frames to shorten it, which takes hours on these trees
+            raise AssertionError(f"recursion limit hit on a {n.bit_length()}-bit code") from None
 
 
 def test_to_dag_shares_repeats():
