@@ -10,6 +10,15 @@ trees are pure nestings of empty forests.
 unrank is the one unfold; rank, to_dag and Forest hashing are instances
 of the one post-order fold, _fold.
 
+Trees share their equal subtrees.  unrank expands each distinct code
+once and deserialize interns each distinct subtree once, so an equal
+subtree in two places is one object.  Every walk keeps a memo that lives
+for one call only (code, id or serial number -> result); nothing is
+cached between calls.  So unrank, rank, to_dag and hashing cost
+O(distinct subtrees), not O(nodes), while printing and parsing text stay
+O(text length): printing repeats a shared subtree's text instead of
+walking it again.
+
 Five stock codecs are provided: hfs (hereditarily finite sets via the
 Ackermann encoding), hff (finite functions), hff1 (length-tagged
 tuples), hff2 (run lengths), and hfp (finite permutations).
@@ -22,8 +31,10 @@ recursion limit.
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import pairing, permcodec, setfun
@@ -137,34 +148,70 @@ TREE_CODECS: dict[str, Callable[[int], Codec]] = {
 }
 
 
+# hash(m) is m mod 2**61 - 1, so big naturals with a pattern collide in bulk
+# (2**k and 2**(k % 61) hash alike) and would make a dict keyed on them
+# quadratic.  So unrank's codes and deserialize's atom values are keyed as
+# themselves below _SMALL and as (hash of their bytes, value) above: bytes
+# hashes are seeded per process and have no such pattern, and the key holds
+# no copy of the value.
+_SMALL = 1 << 60
+
+
+def _code_key(m: int) -> int | tuple[int, int]:
+    return m if m < _SMALL else (hash(m.to_bytes((m.bit_length() + 7) // 8, "little")), m)
+
+
 def unrank(codec: Codec, n: int, max_depth: int | None = None) -> Tree:
     """Decode n into a tree: Atom(n) below ulimit, else a forest of children.
 
+    Each distinct code is expanded once per call: a memo that lives for
+    this call only maps a code to its node and that node's height, so
+    equal codes decode to the same object and the result shares its
+    equal subtrees.  The work is O(distinct subtrees), not O(nodes).
+
     max_depth, when given, bounds the nesting depth and raises
-    RecursionError beyond it instead of consuming unbounded memory.
+    RecursionError beyond it instead of consuming unbounded memory; a
+    shared subtree is checked against the depth of every place it
+    appears.
     """
-    u = codec.ulimit
+    u, expand = codec.ulimit, codec.expand
     if n < 0:
         raise ValueError(f"expected a natural number, got {n}")
     if n < u:
         return Atom(n)
-    stack: list[tuple[list[int], list[Tree]]] = [(codec.expand(n - u), [])]
+    # the root forest is never refused, so a limit below 1 acts as 1
+    limit = math.inf if max_depth is None else max(max_depth, 1)
+    memo: dict[int | tuple[int, int], tuple[Tree, int]] = {}  # code key -> (node, height)
+    # open forests: code key, child codes, children built so far
+    stack: list[tuple[int | tuple[int, int], list[int], list[Tree]]] = [
+        (_code_key(n), expand(n - u), [])]
+    heights = [0]  # per open forest: the height of its tallest child so far
     while True:
-        ranks, built = stack[-1]
+        code, ranks, built = stack[-1]
         if len(built) == len(ranks):
             stack.pop()
-            node = Forest(tuple(built))
+            node, height = Forest(tuple(built)), heights.pop() + 1
+            memo[code] = (node, height)
             if not stack:
                 return node
-            stack[-1][1].append(node)
-            continue
-        m = ranks[len(built)]
-        if m < u:
-            built.append(Atom(m))
         else:
-            if max_depth is not None and len(stack) >= max_depth:
+            m = ranks[len(built)]
+            key = m if m < _SMALL else _code_key(m)
+            hit = memo.get(key)
+            if hit is None and m >= u:
+                if len(stack) >= limit:
+                    raise RecursionError(f"tree depth exceeds limit {max_depth}")
+                stack.append((key, expand(m - u), []))
+                heights.append(0)
+                continue
+            if hit is None:
+                hit = memo[key] = (Atom(m), 0)
+            elif len(stack) + hit[1] > limit:
                 raise RecursionError(f"tree depth exceeds limit {max_depth}")
-            stack.append((codec.expand(m - u), []))
+            node, height = hit
+        stack[-1][2].append(node)
+        if height > heights[-1]:
+            heights[-1] = height
 
 
 def rank(codec: Codec, t: Tree) -> int:
@@ -177,25 +224,32 @@ def _fold(t: Tree, atom: Callable[[Atom], _R], forest: Callable[[list[_R]], _R])
     """The post-order walk behind rank, to_dag and hashing.
 
     Calls atom(a) at each leaf and forest(results) at each forest, where
-    results holds its children's values left to right.
+    results holds its children's values left to right.  A node that t
+    holds in several places is folded once: a memo that lives for this
+    call only maps id(node) to its value (every node stays alive in t,
+    so ids are not reused), and the work is O(distinct nodes).
     """
     if isinstance(t, Atom):
         return atom(t)
-    stack: list[tuple[tuple[Tree, ...], list[_R]]] = [(t.children, [])]
+    done: dict[int, _R] = {}
+    stack: list[tuple[int, tuple[Tree, ...], list[_R]]] = [(id(t), t.children, [])]
     while True:
-        children, results = stack[-1]
+        key, children, results = stack[-1]
         if len(results) == len(children):
             stack.pop()
-            value = forest(results)
+            value = done[key] = forest(results)
             if not stack:
                 return value
-            stack[-1][1].append(value)
+            stack[-1][2].append(value)
             continue
         child = children[len(results)]
-        if isinstance(child, Atom):
-            results.append(atom(child))
+        key = id(child)
+        if key in done:
+            results.append(done[key])
+        elif isinstance(child, Atom):
+            results.append(done.setdefault(key, atom(child)))
         else:
-            stack.append((child.children, []))
+            stack.append((key, child.children, []))
 
 
 def _atom_value(a: Atom, ulimit: int) -> int:
@@ -285,28 +339,41 @@ def _print(t: Tree, style: RenderStyle, empty: str, atom_prefix: str,
 
     Forests print with style's brackets and separator, and as empty when
     they have no children.  Atoms print as atom_prefix and a decimal,
-    checked against ulimit unless it is None.
+    checked against ulimit unless it is None.  A forest that t holds in
+    several places is walked once per call: its first print records the
+    slice of output pieces it made (keyed on id), and each repeat appends
+    that slice joined into one string, joined on the first repeat only.
+    Repeats never overlap in the output, so the cost stays O(output).
     """
     open_, separator, close = style.open, style.separator, style.close
     out: list[str] = []
-    stack: list[Tree | str] = [t]
+    printed: dict[int, tuple[int, int] | str] = {}  # id(forest) -> its pieces of out
+    stack: list[Tree | str | tuple[int, int]] = [t]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Atom):
+        if isinstance(item, Atom):
             value = item.value if ulimit is None else _atom_value(item, ulimit)
             out.append(atom_prefix + str(value))
+        elif isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, tuple):  # (id, start): the end of a forest's first print
+            out.append(close)
+            printed[item[0]] = (item[1], len(out))
         elif not item.children:
             out.append(empty)
         else:
-            pieces: list[Tree | str] = [open_]
-            for i, child in enumerate(item.children):
-                if i:
-                    pieces.append(separator)
-                pieces.append(child)
-            pieces.append(close)
-            stack.extend(reversed(pieces))
+            key = id(item)
+            seen = printed.get(key)
+            if seen is None:
+                stack.append((key, len(out)))
+                out.append(open_)
+                pieces: list[Tree | str] = [separator] * (2 * len(item.children) - 1)
+                pieces[::2] = item.children[::-1]
+                stack.extend(pieces)
+            else:
+                if not isinstance(seen, str):
+                    seen = printed[key] = "".join(out[seen[0]:seen[1]])
+                out.append(seen)
     return "".join(out)
 
 
@@ -353,53 +420,69 @@ def serialize(t: Tree) -> str:
     return _print(t, FUN_STYLE, "()", "a", None)
 
 
+# one token per match: a bracket, an atom tag with its digits, or any other
+# character but a space, which the parser rejects
+_TOKEN = re.compile(r"[()]|a[0-9]*|[^ ]")
+
+
 def deserialize(text: str, max_depth: int | None = None) -> Tree:
-    """Parse serialize() output back into a tree, reporting error positions."""
-    stack: list[list[Tree]] = []
-    result: Tree | None = None
-    i, end = 0, len(text)
-    while i < end:
-        c = text[i]
-        match c:
-            case " ":
-                i += 1
-            case "(":
-                if result is not None:
-                    raise ParseError("trailing input after complete tree", i)
-                if max_depth is not None and len(stack) >= max_depth:
-                    raise ParseError(f"nesting exceeds depth limit {max_depth}", i)
-                stack.append([])
-                i += 1
-            case ")":
-                if not stack:
-                    raise ParseError("unmatched ')'", i)
-                node = Forest(tuple(stack.pop()))
-                if stack:
-                    stack[-1].append(node)
-                else:
-                    result = node
-                i += 1
-            case "a":
-                if result is not None:
-                    raise ParseError("trailing input after complete tree", i)
-                j = i + 1
-                while j < end and "0" <= text[j] <= "9":
-                    j += 1
-                if j == i + 1:
-                    raise ParseError("atom tag 'a' without digits", i)
-                node = Atom(int(text[i + 1 : j]))
-                if stack:
-                    stack[-1].append(node)
-                else:
-                    result = node
-                i = j
-            case _:
-                raise ParseError(f"unexpected character {c!r}", i)
+    """Parse serialize() output back into a tree, reporting error positions.
+
+    The text is split into tokens in one regex pass.  Nodes are interned
+    as they close, for this call only: atoms by value, forests by the
+    serial numbers of their children.  So the result shares its equal
+    subtrees, and each repeat of a subtree costs one dictionary lookup
+    on top of reading its text.
+    """
+    tokens = _TOKEN.findall(text)
+    nodes: list[Tree] = []  # by serial number
+    atoms: dict[int | tuple[int, int], int] = {}  # _code_key(value) -> serial
+    forests: dict[tuple[int, ...], int] = {}  # child serials -> serial
+    stack: list[list[int]] = []  # child serials of each open forest
+    result: int | None = None
+    for k, token in enumerate(tokens):
+        if token == "(":
+            if result is not None:
+                raise _parse_error("trailing input after complete tree", text, k)
+            if max_depth is not None and len(stack) >= max_depth:
+                raise _parse_error(f"nesting exceeds depth limit {max_depth}", text, k)
+            stack.append([])
+            continue
+        if token == ")":
+            if not stack:
+                raise _parse_error("unmatched ')'", text, k)
+            children = tuple(stack.pop())
+            serial = forests.get(children)
+            if serial is None:
+                serial = forests[children] = len(nodes)
+                nodes.append(Forest(tuple([nodes[c] for c in children])))
+        elif token[0] == "a":
+            if result is not None:
+                raise _parse_error("trailing input after complete tree", text, k)
+            if len(token) == 1:
+                raise _parse_error("atom tag 'a' without digits", text, k)
+            value = int(token[1:])
+            key = value if value < _SMALL else _code_key(value)
+            serial = atoms.get(key)
+            if serial is None:
+                serial = atoms[key] = len(nodes)
+                nodes.append(Atom(value))
+        else:
+            raise _parse_error(f"unexpected character {token!r}", text, k)
+        if stack:
+            stack[-1].append(serial)
+        else:
+            result = serial
     if stack:
-        raise ParseError("unclosed '('", end)
+        raise ParseError("unclosed '('", len(text))
     if result is None:
         raise ParseError("empty input", 0)
-    return result
+    return nodes[result]
+
+
+def _parse_error(message: str, text: str, k: int) -> ParseError:
+    """ParseError at the k-th token of text, found by scanning it again."""
+    return ParseError(message, next(islice(_TOKEN.finditer(text), k, None)).start())
 
 
 # --- shared-subtree DAG and Graphviz export -----------------------------

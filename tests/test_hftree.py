@@ -1,11 +1,15 @@
 import hashlib
 import random
+import sys
+import time
+from contextlib import contextmanager
 from itertools import islice
 
 import pytest
 
 from hfcodec.hftree import (
     Atom,
+    Codec,
     Forest,
     FUN_STYLE,
     ParseError,
@@ -34,6 +38,11 @@ from hfcodec.hftree import (
     to_dot,
     unrank,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below skips itself without hypothesis
+    given = None
 
 ALL_CODECS = [codec_hfs, codec_hff, codec_hff1, codec_hff2, codec_hfp]
 
@@ -79,10 +88,15 @@ def test_deep_chain_is_safe():
     a = b = F()
     for _ in range(5000):
         a, b = F(a), F(b)
-    assert a == b
-    assert hash(a) == hash(b)
-    assert deserialize(serialize(a)) == a
-    assert a != F(Atom(0))
+    try:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert deserialize(serialize(a)) == a
+        assert a != F(Atom(0))
+    except RecursionError:
+        # drop the recursive traceback: pytest compares the locals of its
+        # frames to shorten it, which takes hours on these trees
+        raise AssertionError("recursion limit hit on a 5001-level chain") from None
 
 
 def test_hfs_golden_trees():
@@ -197,22 +211,31 @@ def test_deserialize_is_lenient_about_spacing():
 
 
 @pytest.mark.parametrize(
-    "text,pos",
+    "text,max_depth,message,pos",
     [
-        ("", 0),
-        (")", 0),
-        ("(", 1),
-        ("a", 0),
-        ("(a2 x)", 4),
-        ("() ()", 3),
-        ("(a2))", 4),
-        ("a1 a2", 3),
+        ("", None, "empty input", 0),
+        (")", None, "unmatched ')'", 0),
+        ("(", None, "unclosed '('", 1),
+        ("a", None, "atom tag 'a' without digits", 0),
+        ("(a2 x)", None, "unexpected character 'x'", 4),
+        ("() ()", None, "trailing input after complete tree", 3),
+        ("(a2))", None, "unmatched ')'", 4),
+        ("a1 a2", None, "trailing input after complete tree", 3),
+        ("() (", None, "trailing input after complete tree", 3),
+        ("() a1", None, "trailing input after complete tree", 3),
+        ("(a)", None, "atom tag 'a' without digits", 1),
+        ("(a2 a)", None, "atom tag 'a' without digits", 4),
+        ("(\n)", None, "unexpected character '\\n'", 1),
+        ("(((", None, "unclosed '('", 3),
+        ("a1 )", None, "unmatched ')'", 3),
+        ("((((()))))", 3, "nesting exceeds depth limit 3", 3),
     ],
 )
-def test_deserialize_errors_carry_positions(text, pos):
+def test_deserialize_errors_carry_positions(text, max_depth, message, pos):
     with pytest.raises(ParseError) as exc:
-        deserialize(text)
+        deserialize(text, max_depth=max_depth)
     assert exc.value.position == pos
+    assert str(exc.value) == f"{message} (at position {pos})"
 
 
 def test_unrank_depth_cap():
@@ -300,3 +323,156 @@ def test_negative_input_rejected():
         unrank(codec_hfs(), -1)
     with pytest.raises(ValueError):
         Atom(-1)
+
+
+# --- sharing: results against a naive unrank that shares nothing -------------
+
+def naive_unrank(codec, n):
+    """(tree, forest height), every node built where it occurs: the reference."""
+    u = codec.ulimit
+    if n < u:
+        return Atom(n), 0
+    kids = [naive_unrank(codec, m) for m in codec.expand(n - u)]
+    return F(*[t for t, _ in kids]), 1 + max([h for _, h in kids], default=0)
+
+
+@contextmanager
+def recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def distinct_objects(t):
+    seen = set()  # ids stay unique while t keeps every node alive
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, Forest):
+                stack.extend(node.children)
+    return len(seen)
+
+
+def assert_fully_shared(t):
+    # as many node objects as distinct subtrees: equal subtrees are one object
+    assert distinct_objects(t) == len(to_dag(t).nodes)
+
+
+def depth_limit_raises(c, n, max_depth):
+    try:
+        unrank(c, n, max_depth=max_depth)
+    except RecursionError:
+        return True
+    return False
+
+
+def check_against_naive(c, n):
+    with recursion_limit(10_000):  # 1 << k decodes to a k + 2 level hff1 chain
+        ref, height = naive_unrank(c, n)
+    t = unrank(c, n)
+    assert t == ref
+    assert rank(c, t) == n
+    assert serialize(t) == serialize(ref)
+    assert to_dot(t) == to_dot(ref)
+    assert_fully_shared(t)
+    assert_fully_shared(deserialize(serialize(ref)))
+    # the root forest is never refused, so a limit below 1 acts as 1
+    for d in sorted({0, 1, height - 1, height}):
+        assert depth_limit_raises(c, n, d) == (height > max(d, 1)), d
+
+
+if given is not None:
+    @st.composite
+    def codes(draw, max_bits=4096):
+        bits = draw(st.integers(0, max_bits))
+        return draw(st.integers(0, (1 << bits) - 1))
+
+
+@pytest.mark.parametrize("make", ALL_CODECS)
+@pytest.mark.parametrize("ulimit", [0, 2, 16])
+def test_shared_unrank_matches_naive_unrank(make, ulimit):
+    if given is None:
+        pytest.skip("needs hypothesis")
+    c = make(ulimit)
+
+    @settings(max_examples=15)
+    @given(codes())
+    def prop(n):
+        check_against_naive(c, n)
+
+    prop()
+
+
+@pytest.mark.parametrize("make", ALL_CODECS)
+def test_shared_unrank_fixed_codes(make):
+    rng = random.Random(5)
+    for n in [0, 1, 2, 42, 1 << 64, (1 << 64) - 1, 1 << 300, rng.getrandbits(4096)]:
+        check_against_naive(make(0), n)
+
+
+def test_repeat_found_shallow_then_deep_is_depth_checked():
+    # hfs children come in ascending order: 3 = {0, 1} is built first as a
+    # child of the root, then met again below 256 = {8} and 8 = {3}
+    c = codec_hfs()
+    n = (1 << 3) | (1 << 256)
+    ref, height = naive_unrank(c, n)
+    assert height == 6
+    with pytest.raises(RecursionError, match="limit 5"):
+        unrank(c, n, max_depth=5)
+    t = unrank(c, n, max_depth=6)
+    assert t == ref
+    three = t.children[0]
+    assert three == unrank(c, 3)
+    assert t.children[1].children[0].children[0] is three
+
+
+def test_equal_subtrees_are_one_object():
+    c = codec_hfs()
+    t = unrank(c, 42)
+    assert t.children[1].children[0] is t.children[0].children[0] is t.children[2].children[0]
+    for make in ALL_CODECS:
+        for ulimit in (0, 16):
+            t = unrank(make(ulimit), random.Random(9).getrandbits(2048))
+            assert_fully_shared(t)
+            assert_fully_shared(deserialize(serialize(t)))
+    # atoms are shared by value, however their digits are written
+    t = deserialize("(a7 (a07) a7 (a7))")
+    assert t.children[0] is t.children[1].children[0] is t.children[2]
+    assert t.children[1] is t.children[3]
+
+
+def test_65536_bit_hfs_costs_distinct_subtrees():
+    # ~1.6 million nodes but ~33 thousand distinct subtrees: a walk per node
+    # takes ~11 s, a walk per distinct subtree under 1 s
+    c = codec_hfs()
+    n = random.Random(17).getrandbits(65536) | (1 << 65535)
+    start = time.monotonic()
+    t = unrank(c, n)
+    assert rank(c, t) == n
+    dag = to_dag(t)
+    hash(t)
+    elapsed = time.monotonic() - start
+    assert elapsed < 2, f"took {elapsed:.2f}s, budget is 2s"
+    assert 30_000 < len(dag.nodes) < 40_000
+
+
+def test_memo_keys_survive_colliding_int_hashes():
+    # hash(m) is m mod 2**61 - 1, so these 20000 codes and atom values all
+    # hash alike; a dict keyed on the ints themselves takes ~10 s to fill
+    p = (1 << 61) - 1
+    kids = [p * k for k in range(1, 20001)]
+    root = p * 30000
+    c = Codec("colliding", 0, lambda n: kids if n == root else [], sum)
+    text = "(" + " ".join(f"a{m}" for m in kids) + ")"
+    start = time.monotonic()
+    t = unrank(c, root)
+    parsed = deserialize(text)
+    elapsed = time.monotonic() - start
+    assert elapsed < 2, f"took {elapsed:.2f}s, budget is 2s"
+    assert t == F(*[F()] * 20000)
+    assert [a.value for a in parsed.children] == kids
