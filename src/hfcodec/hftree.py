@@ -57,7 +57,10 @@ class Forest:
 
     Equality and hashing are structural; both walk the tree with
     explicit stacks so that very deep trees compare and hash without
-    hitting the interpreter's recursion limit.
+    hitting the interpreter's recursion limit.  Both work once per
+    distinct subtree (hashing) or distinct pair of subtrees (equality),
+    so trees that share their equal subtrees compare and hash in time
+    that grows with distinct subtrees, not nodes.
     """
 
     children: tuple["Tree", ...] = ()
@@ -70,20 +73,25 @@ class Forest:
             return False
         if not isinstance(other, Forest):
             return NotImplemented
-        stack: list[tuple[Tree, Tree]] = [(self, other)]
+        # pairs of forests whose children are still to compare; a pair is
+        # queued once, however often it recurs in shared trees
+        stack: list[tuple[Forest, Forest]] = [(self, other)]
+        seen = {(id(self), id(other))}
         while stack:
             a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
+            if len(a.children) != len(b.children):
                 return False
-            if isinstance(a, Atom):
-                if a.value != b.value:
+            for x, y in zip(a.children, b.children):
+                if x is y:
+                    continue
+                if type(x) is not type(y):
                     return False
-            elif len(a.children) != len(b.children):
-                return False
-            else:
-                stack.extend(zip(a.children, b.children))
+                if isinstance(x, Atom):
+                    if x.value != y.value:
+                        return False
+                elif (pair := (id(x), id(y))) not in seen:
+                    seen.add(pair)
+                    stack.append((x, y))
         return True
 
     def __hash__(self) -> int:

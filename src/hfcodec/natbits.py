@@ -10,12 +10,21 @@ power-of-two base) is linear in the bit length and is not subject to the
 interpreter's int/str digit limit.  ``_rbitstr`` and ``_rbitstr2nat``
 convert between a natural and its little-endian bit string for
 ``setfun`` and ``pairing`` as well.
+
+Mixed-radix conversion (factoradics, and bases that are not powers of
+two) goes through ``_radix_split`` and ``_radix_join``, which divide and
+multiply along a product tree of the radices built once per call
+(Bernstein, "Fast multiplication and its applications", 2008, §§12-18;
+Knuth, TAOCP Vol. 2 §4.4).  The big divisions and multiplications run
+inside the interpreter's integer code, so a conversion takes a few big
+operations per tree level instead of one Python step per digit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from math import log2, prod
+from typing import Iterable, Iterator, Sequence
 
 # Codes of at most this many bits stay on the word-sized big-int loops in
 # setfun and pairing: below it a Python loop over a few set bits beats
@@ -30,6 +39,13 @@ _DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuv"
 _CHAR_VALUES = bytes.maketrans(_DIGIT_CHARS, bytes(range(32)))
 _VALUE_CHARS = bytes.maketrans(bytes(range(32)), _DIGIT_CHARS)
 _FORMAT_CODES = {2: "b", 8: "o", 16: "x"}
+
+# A mixed-radix conversion of at most this many digits keeps the
+# digit-at-a-time loop; longer ones go through a product tree whose leaves
+# each hold this many radices and run that loop.  Measured on CPython 3.11,
+# the tree wins from about 200 factorial or decimal digits up, and leaves
+# of 32 to 128 radices time alike at 65536 bits.
+_RADIX_LEAF = 128
 
 
 @dataclass(frozen=True)
@@ -57,6 +73,14 @@ class DigitList:
     def __len__(self) -> int:
         return len(self.digits)
 
+    @classmethod
+    def _trusted(cls, base: int, digits: tuple[int, ...]) -> DigitList:
+        """A DigitList of digits already known to be in range: no checks."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "base", base)
+        object.__setattr__(ds, "digits", digits)
+        return ds
+
 
 def _check_natural(n: int) -> None:
     if n < 0:
@@ -73,11 +97,82 @@ def _rbitstr2nat(bs: bytes | bytearray) -> int:
     return int(bs[::-1], 2) if bs else 0
 
 
+def _product_tree(radices: Sequence[int]) -> list[list[int]]:
+    """Levels of partial products of the radices, leaves first, root left out.
+
+    A level-0 node multiplies _RADIX_LEAF consecutive radices; each later
+    node multiplies a pair of neighbours, and an odd last node moves up
+    alone.  For a constant radix, level j holds base**(2**j * _RADIX_LEAF).
+    """
+    level = [prod(radices[i:i + _RADIX_LEAF]) for i in range(0, len(radices), _RADIX_LEAF)]
+    tree = [level]
+    while len(level) > 2:
+        up = [a * b for a, b in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            up.append(level[-1])
+        tree.append(up)
+        level = up
+    return tree
+
+
+def _radix_split(n: int, radices: Sequence[int]) -> list[int]:
+    """Digits of n in the mixed radix: n == d[0] + r[0] * (d[1] + r[1] * (...)).
+
+    Digit i is below radices[i], one digit per radix, high zeros kept; n
+    must be below the product of all the radices.
+    """
+    tree = _product_tree(radices)
+    digits: list[int] = []
+    append = digits.append
+
+    def split(n: int, k: int, i: int) -> None:
+        # n holds the digits under node i of level k (k == len(tree): root)
+        if k == 0:
+            for r in radices[i * _RADIX_LEAF:(i + 1) * _RADIX_LEAF]:
+                n, d = divmod(n, r)
+                append(d)
+            return
+        lower = tree[k - 1]
+        if 2 * i + 1 < len(lower):
+            n, low = divmod(n, lower[2 * i])
+            split(low, k - 1, 2 * i)
+            split(n, k - 1, 2 * i + 1)
+        else:
+            split(n, k - 1, 2 * i)
+
+    split(n, len(tree), 0)
+    return digits
+
+
+def _radix_join(digits: Sequence[int], radices: Sequence[int]) -> int:
+    """Evaluate d[0] + r[0] * (d[1] + r[1] * (...)); inverse of _radix_split.
+
+    One radix per digit (the last is never used); digits may exceed their
+    radix.
+    """
+    tree = _product_tree(radices)
+
+    def join(k: int, i: int) -> int:
+        # value of the digits under node i of level k (k == len(tree): root)
+        if k == 0:
+            lo, hi = i * _RADIX_LEAF, (i + 1) * _RADIX_LEAF
+            n = 0
+            for r, d in zip(radices[lo:hi][::-1], digits[lo:hi][::-1]):
+                n = n * r + d
+            return n
+        lower = tree[k - 1]
+        if 2 * i + 1 < len(lower):
+            return join(k - 1, 2 * i) + lower[2 * i] * join(k - 1, 2 * i + 1)
+        return join(k - 1, 2 * i)
+
+    return join(len(tree), 0)
+
+
 def to_base(base: int, n: int) -> DigitList:
     """Expand n in the given base; the last digit is nonzero except for 0 itself.
 
     Power-of-two bases cut n's bit string into fixed-width digits (linear);
-    other bases divide repeatedly (quadratic in the bit length).
+    other bases split n along a product tree of base**(2**j) powers.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -90,20 +185,27 @@ def to_base(base: int, n: int) -> DigitList:
             width = base.bit_length() - 1
             bs = _rbitstr(n)
             digits = [_rbitstr2nat(bs[i:i + width]) for i in range(0, len(bs), width)]
-        return DigitList(base, tuple(digits))
-    digits = []
-    while True:
-        n, d = divmod(n, base)
-        digits.append(d)
-        if n == 0:
-            return DigitList(base, tuple(digits))
+    elif n.bit_length() > _RADIX_LEAF:  # else at most _RADIX_LEAF digits
+        # base**size >= 2**bit_length * base > n, with a digit to spare
+        size = int(n.bit_length() / log2(base)) + 2
+        digits = _radix_split(n, [base] * size)
+        while digits[-1] == 0:
+            digits.pop()
+    else:
+        digits = []
+        while True:
+            n, d = divmod(n, base)
+            digits.append(d)
+            if n == 0:
+                break
+    return DigitList._trusted(base, tuple(digits))
 
 
 def from_base(base: int, ds: DigitList | Iterable[int]) -> int:
     """Evaluate little-endian digits: sum of ds[i] * base**i.
 
     Power-of-two bases are parsed as one digit string (linear); other
-    bases run a Horner loop (quadratic in the bit length).
+    bases join the digits along a product tree of base**(2**j) powers.
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -120,6 +222,8 @@ def from_base(base: int, ds: DigitList | Iterable[int]) -> int:
             return int(bytes(digits)[::-1].translate(_VALUE_CHARS), base)
         width = base.bit_length() - 1
         return _rbitstr2nat(b"".join(_rbitstr(d).ljust(width, b"0") for d in digits))
+    if len(digits) > _RADIX_LEAF:
+        return _radix_join(digits, [base] * len(digits))
     n = 0
     for d in reversed(digits):
         n = n * base + d

@@ -6,14 +6,40 @@ the later entries smaller than entry i.  The two meet in nth2perm, which
 reads a lexicographic rank below k! straight into a permutation.  Sizes
 are chained by sf(k) = 0! + ... + (k-1)!, giving a single numbering of
 all finite permutations in order of size.
+
+Factoradics of big naturals split and join along a product tree of the
+radices 1, 2, 3, ... (natbits._radix_split/_radix_join), and to_sf
+estimates its k from the bit length with math.lgamma before correcting it
+by single steps, so no loop here runs once per digit on a big integer.
+Naturals with at most natbits._RADIX_LEAF factoradic digits keep the
+digit-at-a-time loops.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import factorial, lgamma, log
 from typing import Sequence
 
-from .natbits import _check_natural
+from .natbits import _RADIX_LEAF, _check_natural, _radix_join, _radix_split
+
+# naturals below this have at most _RADIX_LEAF factoradic digits
+_LOOP_LIMIT = factorial(_RADIX_LEAF)
+_LN2 = log(2)
+
+
+def _factorial_size(x: float) -> int:
+    """Least k >= 1 with lgamma(k + 1) >= x, i.e. k! >= e**x up to rounding."""
+    lo, hi = 1, 2
+    while lgamma(hi + 1) < x:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if lgamma(mid + 1) < x:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def fr(n: int) -> list[int]:
@@ -24,6 +50,14 @@ def fr(n: int) -> list[int]:
     _check_natural(n)
     if n == 0:
         return [0]
+    if n >= _LOOP_LIMIT:
+        # size! >= e * 2**bit_length > n, so the digits cover n; the margin
+        # of e absorbs lgamma's rounding
+        size = _factorial_size(n.bit_length() * _LN2 + 1)
+        digits = _radix_split(n, range(1, size + 1))
+        while digits[-1] == 0:
+            digits.pop()
+        return digits
     digits, j = [], 1
     while n:
         n, d = divmod(n, j)
@@ -34,6 +68,10 @@ def fr(n: int) -> list[int]:
 
 def rf(ds: Sequence[int]) -> int:
     """Evaluate digits against the weights 0!, 1!, 2!, ...; inverse of fr."""
+    if len(ds) > _RADIX_LEAF:
+        for d in ds:
+            _check_natural(d)
+        return _radix_join(ds, range(1, len(ds) + 1))
     total, w = 0, 1
     for i, d in enumerate(ds):
         _check_natural(d)
@@ -109,11 +147,7 @@ def perm2nth(ps: Sequence[int]) -> tuple[int, int]:
 def sf(n: int) -> int:
     """Sum of factorials 0! + 1! + ... + (n-1)!; the code of the size-n identity."""
     _check_natural(n)
-    total, w = 0, 1
-    for i in range(n):
-        total += w
-        w *= i + 1
-    return total
+    return rf([1] * n)
 
 
 def to_sf(n: int) -> tuple[int, int]:
@@ -123,7 +157,18 @@ def to_sf(n: int) -> tuple[int, int]:
     permutation.
     """
     _check_natural(n)
-    k, s, w = 0, 0, 1  # s == sf(k), w == k!
+    if n >= _LOOP_LIMIT:
+        # start from the least k with k! >= 2**(bit_length - 1): sf(k) is
+        # close to (k-1)!, so this is usually the answer, and the loops
+        # below correct it by single steps otherwise
+        k = _factorial_size((n.bit_length() - 1) * _LN2)
+        s, w = sf(k), factorial(k)
+        while s > n:
+            w //= k
+            k -= 1
+            s -= w
+    else:
+        k, s, w = 0, 0, 1  # s == sf(k), w == k!
     while s + w <= n:
         s += w
         w *= k + 1
@@ -140,6 +185,8 @@ def nat2perm(n: int) -> list[int]:
 
 
 def perm2nat(ps: Sequence[int]) -> int:
-    """Position of a permutation in the size-then-lex ordering; inverse of nat2perm."""
-    size, rank = perm2nth(ps)
-    return sf(size) + rank
+    """Position of a permutation in the size-then-lex ordering; inverse of nat2perm.
+
+    sf(size) + lf(lehmer) in one evaluation: digit i of both sums weighs i!.
+    """
+    return rf([d + 1 for d in reversed(perm2lehmer(ps))])

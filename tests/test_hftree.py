@@ -461,6 +461,42 @@ def test_65536_bit_hfs_costs_distinct_subtrees():
     assert 30_000 < len(dag.nodes) < 40_000
 
 
+def test_65536_bit_hfs_equality_costs_distinct_pairs():
+    # ~1.6 million node pairs but ~33 thousand distinct ones: comparing pair
+    # by pair takes ~2 s, once per distinct pair ~0.2 s
+    c = codec_hfs()
+    n = random.Random(17).getrandbits(65536) | (1 << 65535)
+    t = unrank(c, n)
+    parsed = deserialize(serialize(t))
+    again = unrank(c, n)
+    start = time.monotonic()
+    assert parsed == t
+    assert again == t
+    elapsed = time.monotonic() - start
+    assert elapsed < 1, f"took {elapsed:.2f}s, budget is 1s"
+    assert unrank(c, n ^ (1 << 40000)) != t
+
+
+def test_equality_on_shared_trees_finds_every_difference():
+    x, y = F(F(), Atom(1)), F(F(), Atom(2))
+    assert F(x, x) != F(y, y)
+    assert F(x, x) != F(x, y)
+    assert F(x, x) != F(F(F(), Atom(1)), y)  # x meets a second partner
+    assert F(x, F(x)) != F(x, F(y))
+    assert F(x, F(x, x)) != F(x, F(x, F()))
+    assert F(x, F(x, x)) == F(F(F(), Atom(1)), F(x, F(F(), Atom(1))))
+    assert F(x, x) != F(x, Atom(1))
+    rng = random.Random(29)
+    for codec in (codec_hfs(), codec_hfp(16), codec_hff(2)):
+        for _ in range(10):
+            n = rng.getrandbits(1024) | (1 << 1023)
+            t = unrank(codec, n)
+            assert deserialize(serialize(t)) == t
+            for m in (n ^ 1, n ^ (1 << rng.randrange(1024)), n + 1):
+                u = unrank(codec, m)
+                assert u != t and t != u, (codec.name, n, m)
+
+
 def test_memo_keys_survive_colliding_int_hashes():
     # hash(m) is m mod 2**61 - 1, so these 20000 codes and atom values all
     # hash alike; a dict keyed on the ints themselves takes ~10 s to fill
