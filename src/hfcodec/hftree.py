@@ -57,10 +57,12 @@ class Forest:
 
     Equality and hashing are structural; both walk the tree with
     explicit stacks so that very deep trees compare and hash without
-    hitting the interpreter's recursion limit.  Both work once per
-    distinct subtree (hashing) or distinct pair of subtrees (equality),
-    so trees that share their equal subtrees compare and hash in time
-    that grows with distinct subtrees, not nodes.
+    hitting the interpreter's recursion limit.  Hashing works once per
+    distinct subtree, and equality compares a subtree of the left tree
+    again only when it meets a different partner in the right tree, so
+    trees that share their equal subtrees (as unrank and deserialize
+    build them) compare and hash in time that grows with distinct
+    subtrees, not nodes.
     """
 
     children: tuple["Tree", ...] = ()
@@ -73,10 +75,11 @@ class Forest:
             return False
         if not isinstance(other, Forest):
             return NotImplemented
-        # pairs of forests whose children are still to compare; a pair is
-        # queued once, however often it recurs in shared trees
+        # the right-hand forest each left-hand forest was last queued with:
+        # a left forest that recurs in a shared tree with the same partner
+        # is not queued again; empty forests are settled on the spot
         stack: list[tuple[Forest, Forest]] = [(self, other)]
-        seen = {(id(self), id(other))}
+        partner = {id(self): other}
         while stack:
             a, b = stack.pop()
             if len(a.children) != len(b.children):
@@ -89,8 +92,11 @@ class Forest:
                 if isinstance(x, Atom):
                     if x.value != y.value:
                         return False
-                elif (pair := (id(x), id(y))) not in seen:
-                    seen.add(pair)
+                elif not x.children:
+                    if y.children:
+                        return False
+                elif partner.get(key := id(x)) is not y:
+                    partner[key] = y
                     stack.append((x, y))
         return True
 

@@ -40,7 +40,7 @@ _CHAR_VALUES = bytes.maketrans(_DIGIT_CHARS, bytes(range(32)))
 _VALUE_CHARS = bytes.maketrans(bytes(range(32)), _DIGIT_CHARS)
 _FORMAT_CODES = {2: "b", 8: "o", 16: "x"}
 
-# A mixed-radix conversion of at most this many digits keeps the
+# A mixed-radix conversion of at most this many digits is one
 # digit-at-a-time loop; longer ones go through a product tree whose leaves
 # each hold this many radices and run that loop.  Measured on CPython 3.11,
 # the tree wins from about 200 factorial or decimal digits up, and leaves
@@ -121,16 +121,18 @@ def _radix_split(n: int, radices: Sequence[int]) -> list[int]:
     Digit i is below radices[i], one digit per radix, high zeros kept; n
     must be below the product of all the radices.
     """
-    tree = _product_tree(radices)
     digits: list[int] = []
-    append = digits.append
+    if len(radices) <= _RADIX_LEAF:  # one leaf: the digit-at-a-time loop
+        for r in radices:
+            n, d = divmod(n, r)
+            digits.append(d)
+        return digits
+    tree = _product_tree(radices)
 
     def split(n: int, k: int, i: int) -> None:
         # n holds the digits under node i of level k (k == len(tree): root)
         if k == 0:
-            for r in radices[i * _RADIX_LEAF:(i + 1) * _RADIX_LEAF]:
-                n, d = divmod(n, r)
-                append(d)
+            digits.extend(_radix_split(n, radices[i * _RADIX_LEAF:(i + 1) * _RADIX_LEAF]))
             return
         lower = tree[k - 1]
         if 2 * i + 1 < len(lower):
@@ -150,16 +152,18 @@ def _radix_join(digits: Sequence[int], radices: Sequence[int]) -> int:
     One radix per digit (the last is never used); digits may exceed their
     radix.
     """
+    if len(radices) <= _RADIX_LEAF:  # one leaf: the digit-at-a-time loop
+        n = 0
+        for r, d in zip(reversed(radices), reversed(digits)):
+            n = n * r + d
+        return n
     tree = _product_tree(radices)
 
     def join(k: int, i: int) -> int:
         # value of the digits under node i of level k (k == len(tree): root)
         if k == 0:
             lo, hi = i * _RADIX_LEAF, (i + 1) * _RADIX_LEAF
-            n = 0
-            for r, d in zip(radices[lo:hi][::-1], digits[lo:hi][::-1]):
-                n = n * r + d
-            return n
+            return _radix_join(digits[lo:hi], radices[lo:hi])
         lower = tree[k - 1]
         if 2 * i + 1 < len(lower):
             return join(k - 1, 2 * i) + lower[2 * i] * join(k - 1, 2 * i + 1)
@@ -185,19 +189,12 @@ def to_base(base: int, n: int) -> DigitList:
             width = base.bit_length() - 1
             bs = _rbitstr(n)
             digits = [_rbitstr2nat(bs[i:i + width]) for i in range(0, len(bs), width)]
-    elif n.bit_length() > _RADIX_LEAF:  # else at most _RADIX_LEAF digits
+    else:
         # base**size >= 2**bit_length * base > n, with a digit to spare
         size = int(n.bit_length() / log2(base)) + 2
         digits = _radix_split(n, [base] * size)
-        while digits[-1] == 0:
+        while len(digits) > 1 and digits[-1] == 0:
             digits.pop()
-    else:
-        digits = []
-        while True:
-            n, d = divmod(n, base)
-            digits.append(d)
-            if n == 0:
-                break
     return DigitList._trusted(base, tuple(digits))
 
 
@@ -222,12 +219,7 @@ def from_base(base: int, ds: DigitList | Iterable[int]) -> int:
             return int(bytes(digits)[::-1].translate(_VALUE_CHARS), base)
         width = base.bit_length() - 1
         return _rbitstr2nat(b"".join(_rbitstr(d).ljust(width, b"0") for d in digits))
-    if len(digits) > _RADIX_LEAF:
-        return _radix_join(digits, [base] * len(digits))
-    n = 0
-    for d in reversed(digits):
-        n = n * base + d
-    return n
+    return _radix_join(digits, [base] * len(digits))
 
 
 def to_rbits(n: int) -> list[int]:

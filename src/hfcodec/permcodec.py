@@ -7,29 +7,41 @@ reads a lexicographic rank below k! straight into a permutation.  Sizes
 are chained by sf(k) = 0! + ... + (k-1)!, giving a single numbering of
 all finite permutations in order of size.
 
-Factoradics of big naturals split and join along a product tree of the
-radices 1, 2, 3, ... (natbits._radix_split/_radix_join), and to_sf
-estimates its k from the bit length with math.lgamma before correcting it
-by single steps, so no loop here runs once per digit on a big integer.
-Naturals with at most natbits._RADIX_LEAF factoradic digits keep the
-digit-at-a-time loops.
+Factoradics split and join along a product tree of the radices 1, 2,
+3, ... (natbits._radix_split/_radix_join, which keep a digit-at-a-time
+loop for short ones).  fr and to_sf size their answer by bisecting tables
+of factorials and of their sums below 128!, and above it from the bit
+length with math.lgamma, so no loop here runs once per digit on a big
+integer.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from math import factorial, lgamma, log
+from operator import mul
 from typing import Sequence
 
-from .natbits import _RADIX_LEAF, _check_natural, _radix_join, _radix_split
+from .natbits import _check_natural, _radix_join, _radix_split
 
-# naturals below this have at most _RADIX_LEAF factoradic digits
-_LOOP_LIMIT = factorial(_RADIX_LEAF)
 _LN2 = log(2)
+# 0!, 1!, ..., 128! and sf(0), sf(1), ..., sf(129): fr and to_sf size
+# naturals below 128! by bisecting these
+_FACTORIALS = list(accumulate(range(1, 129), mul, initial=1))
+_SUMS = list(accumulate(_FACTORIALS, initial=0))
 
 
-def _factorial_size(x: float) -> int:
-    """Least k >= 1 with lgamma(k + 1) >= x, i.e. k! >= e**x up to rounding."""
+def _factorial_size(n: int) -> int:
+    """A k with k! > n: the least one below 128!, at most one above it from there.
+
+    For n >= 1 the least such k is the number of factoradic digits of n.
+    """
+    if n < _FACTORIALS[-1]:
+        return bisect_right(_FACTORIALS, n)
+    # least k with lgamma(k + 1) >= ln(2) * bit_length + 1, so that
+    # k! >= e * 2**bit_length > n; the margin of e absorbs lgamma's rounding
+    x = n.bit_length() * _LN2 + 1
     lo, hi = 1, 2
     while lgamma(hi + 1) < x:
         lo, hi = hi + 1, 2 * hi
@@ -50,35 +62,17 @@ def fr(n: int) -> list[int]:
     _check_natural(n)
     if n == 0:
         return [0]
-    if n >= _LOOP_LIMIT:
-        # size! >= e * 2**bit_length > n, so the digits cover n; the margin
-        # of e absorbs lgamma's rounding
-        size = _factorial_size(n.bit_length() * _LN2 + 1)
-        digits = _radix_split(n, range(1, size + 1))
-        while digits[-1] == 0:
-            digits.pop()
-        return digits
-    digits, j = [], 1
-    while n:
-        n, d = divmod(n, j)
-        digits.append(d)
-        j += 1
+    digits = _radix_split(n, range(1, _factorial_size(n) + 1))
+    while digits[-1] == 0:
+        digits.pop()
     return digits
 
 
 def rf(ds: Sequence[int]) -> int:
     """Evaluate digits against the weights 0!, 1!, 2!, ...; inverse of fr."""
-    if len(ds) > _RADIX_LEAF:
-        for d in ds:
-            _check_natural(d)
-        return _radix_join(ds, range(1, len(ds) + 1))
-    total, w = 0, 1
-    for i, d in enumerate(ds):
+    for d in ds:
         _check_natural(d)
-        if i:
-            w *= i
-        total += d * w
-    return total
+    return _radix_join(ds, range(1, len(ds) + 1))
 
 
 def fl(n: int) -> list[int]:
@@ -147,7 +141,7 @@ def perm2nth(ps: Sequence[int]) -> tuple[int, int]:
 def sf(n: int) -> int:
     """Sum of factorials 0! + 1! + ... + (n-1)!; the code of the size-n identity."""
     _check_natural(n)
-    return rf([1] * n)
+    return _radix_join([1] * n, range(1, n + 1))
 
 
 def to_sf(n: int) -> tuple[int, int]:
@@ -157,22 +151,16 @@ def to_sf(n: int) -> tuple[int, int]:
     permutation.
     """
     _check_natural(n)
-    if n >= _LOOP_LIMIT:
-        # start from the least k with k! >= 2**(bit_length - 1): sf(k) is
-        # close to (k-1)!, so this is usually the answer, and the loops
-        # below correct it by single steps otherwise
-        k = _factorial_size((n.bit_length() - 1) * _LN2)
-        s, w = sf(k), factorial(k)
-        while s > n:
-            w //= k
-            k -= 1
-            s -= w
-    else:
-        k, s, w = 0, 0, 1  # s == sf(k), w == k!
-    while s + w <= n:
-        s += w
-        w *= k + 1
-        k += 1
+    if n < _SUMS[-1]:
+        k = bisect_right(_SUMS, n) - 1
+        return k, n - _SUMS[k]
+    # k! > n, and sf(k + 1) > k!, so the answer is at most k: step down
+    k = _factorial_size(n)
+    s, w = sf(k), factorial(k)  # s == sf(k), w == k!
+    while s > n:
+        w //= k
+        k -= 1
+        s -= w
     return k, n - s
 
 

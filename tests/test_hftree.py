@@ -486,6 +486,8 @@ def test_equality_on_shared_trees_finds_every_difference():
     assert F(x, F(x, x)) != F(x, F(x, F()))
     assert F(x, F(x, x)) == F(F(F(), Atom(1)), F(x, F(F(), Atom(1))))
     assert F(x, x) != F(x, Atom(1))
+    assert F(F(), F()) != F(F(), F(F()))  # an empty forest against a full one
+    assert F(F(F())) != F(F())
     rng = random.Random(29)
     for codec in (codec_hfs(), codec_hfp(16), codec_hff(2)):
         for _ in range(10):

@@ -2,13 +2,14 @@
 
 Factoradics (fr, rf, fl, lf), the permutation ranking built on them (sf,
 to_sf, nth2perm, nat2perm, perm2nat) and bases that are not powers of two
-split and join big naturals along a product tree of their radices; small
-ones keep the old loops.  The naive references below are those loops,
-copied unchanged.  Every function is checked against them on
-hypothesis-drawn inputs from 4096 to 65536 bits, on exact edges (k! and
-sf(k) plus or minus one) on both sides of the crossover, and on long
-digit lists with digits above their bound.  A timed 262144-bit round trip
-guards the cost.
+split and join naturals along a product tree of their radices, which is a
+single digit-at-a-time loop for short ones.  The naive references below
+are the loops they replaced, copied unchanged.  Every function is checked
+against them on every natural below 3000, on hypothesis-drawn inputs up
+to 4096 bits and from 4096 to 65536 bits, on exact edges (k! and sf(k)
+plus or minus one) on both sides of the crossover and of the size tables,
+and on long digit lists with digits above their bound.  A timed
+262144-bit round trip guards the cost.
 """
 
 import math
@@ -139,6 +140,30 @@ def check_bases(n, bases=BASES):
 def big_naturals(draw, min_bits=4096, max_bits=65536):
     bits = draw(st.integers(min_bits, max_bits))
     return draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+
+# --- small naturals: one leaf, and the size tables -----------------------------
+
+def test_small_naturals_match_naive():
+    for n in range(3000):
+        check_factoradics(n)
+        check_permutations(n)
+        check_bases(n, BASES + (7,))
+
+
+@settings(max_examples=60)
+@given(big_naturals(min_bits=1, max_bits=4096))
+def test_naturals_up_to_4096_bits_match_naive(n):
+    check_factoradics(n)
+    check_permutations(n)
+    check_bases(n)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.integers(0, 1 << 80), max_size=_RADIX_LEAF))
+def test_rf_on_short_lists_with_digits_above_their_bound(ds):
+    assert rf(ds) == naive_rf(ds)
+    assert lf(ds) == naive_rf(ds[::-1])
 
 
 # --- hypothesis properties from 4096 to 65536 bits -----------------------------
