@@ -38,6 +38,7 @@ from itertools import count, islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import pairing, permcodec, setfun
+from .natbits import _check_natural, _int_text
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +49,7 @@ class Atom:
 
     def __post_init__(self) -> None:
         if self.value < 0:
-            raise ValueError(f"atom value must be a natural, got {self.value}")
+            raise ValueError(f"atom value must be a natural, got {_int_text(self.value)}")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -189,8 +190,7 @@ def unrank(codec: Codec, n: int, max_depth: int | None = None) -> Tree:
     appears.
     """
     u, expand = codec.ulimit, codec.expand
-    if n < 0:
-        raise ValueError(f"expected a natural number, got {n}")
+    _check_natural(n)
     if n < u:
         return Atom(n)
     # the root forest is never refused, so a limit below 1 acts as 1
@@ -268,7 +268,7 @@ def _fold(t: Tree, atom: Callable[[Atom], _R], forest: Callable[[list[_R]], _R])
 
 def _atom_value(a: Atom, ulimit: int) -> int:
     if a.value >= ulimit:
-        raise ValueError(f"atom {a.value} out of range for ulimit {ulimit}")
+        raise ValueError(f"atom {_int_text(a.value)} out of range for ulimit {ulimit}")
     return a.value
 
 
@@ -543,7 +543,7 @@ def to_dag(t: Tree) -> Dag:
             nodes.append(DagNode(nid, atom, children))
         return nid
 
-    root = _fold(t, lambda a: intern(("a", a.value), a.value, ()),
+    root = _fold(t, lambda a: intern(("a", _code_key(a.value)), a.value, ()),
                  lambda ids: intern(("f", tuple(ids)), None, tuple(ids)))
     return Dag(root, tuple(nodes))
 

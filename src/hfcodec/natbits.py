@@ -12,8 +12,8 @@ convert between a natural and its little-endian bit string for
 ``setfun`` and ``pairing`` as well.
 
 Mixed-radix conversion (factoradics, and bases that are not powers of
-two) goes through ``_radix_split`` and ``_radix_join``, which divide and
-multiply along a product tree of the radices built once per call
+two) goes through ``_radix_split`` and ``_radix_join``, which divide
+top-down and multiply bottom-up along a balanced tree of radix products
 (Bernstein, "Fast multiplication and its applications", 2008, §§12-18;
 Knuth, TAOCP Vol. 2 §4.4).  The big divisions and multiplications run
 inside the interpreter's integer code, so a conversion takes a few big
@@ -41,7 +41,7 @@ _VALUE_CHARS = bytes.maketrans(bytes(range(32)), _DIGIT_CHARS)
 _FORMAT_CODES = {2: "b", 8: "o", 16: "x"}
 
 # A mixed-radix conversion of at most this many digits is one
-# digit-at-a-time loop; longer ones go through a product tree whose leaves
+# digit-at-a-time loop; longer ones go through a binary tree whose leaves
 # each hold this many radices and run that loop.  Measured on CPython 3.11,
 # the tree wins from about 200 factorial or decimal digits up, and leaves
 # of 32 to 128 radices time alike at 65536 bits.
@@ -65,7 +65,7 @@ class DigitList:
         object.__setattr__(self, "digits", tuple(self.digits))
         for d in self.digits:
             if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
+                raise ValueError(f"digit {_int_text(d)} out of range for base {self.base}")
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.digits)
@@ -82,9 +82,17 @@ class DigitList:
         return ds
 
 
+def _int_text(n: int) -> str:
+    """n in decimal for an error message, or its bit length past the int/str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{'negative ' if n < 0 else ''}{n.bit_length()}-bit integer>"
+
+
 def _check_natural(n: int) -> None:
     if n < 0:
-        raise ValueError(f"expected a natural number, got {n}")
+        raise ValueError(f"expected a natural number, got {_int_text(n)}")
 
 
 def _rbitstr(n: int) -> bytes:
@@ -97,29 +105,12 @@ def _rbitstr2nat(bs: bytes | bytearray) -> int:
     return int(bs[::-1], 2) if bs else 0
 
 
-def _product_tree(radices: Sequence[int]) -> list[list[int]]:
-    """Levels of partial products of the radices, leaves first, root left out.
-
-    A level-0 node multiplies _RADIX_LEAF consecutive radices; each later
-    node multiplies a pair of neighbours, and an odd last node moves up
-    alone.  For a constant radix, level j holds base**(2**j * _RADIX_LEAF).
-    """
-    level = [prod(radices[i:i + _RADIX_LEAF]) for i in range(0, len(radices), _RADIX_LEAF)]
-    tree = [level]
-    while len(level) > 2:
-        up = [a * b for a, b in zip(level[::2], level[1::2])]
-        if len(level) % 2:
-            up.append(level[-1])
-        tree.append(up)
-        level = up
-    return tree
-
-
 def _radix_split(n: int, radices: Sequence[int]) -> list[int]:
     """Digits of n in the mixed radix: n == d[0] + r[0] * (d[1] + r[1] * (...)).
 
     Digit i is below radices[i], one digit per radix, high zeros kept; n
-    must be below the product of all the radices.
+    must be below the product of all the radices.  Above _RADIX_LEAF
+    radices, n is cut top-down by products of neighbouring leaves' radices.
     """
     digits: list[int] = []
     if len(radices) <= _RADIX_LEAF:  # one leaf: the digit-at-a-time loop
@@ -127,22 +118,26 @@ def _radix_split(n: int, radices: Sequence[int]) -> list[int]:
             n, d = divmod(n, r)
             digits.append(d)
         return digits
-    tree = _product_tree(radices)
-
-    def split(n: int, k: int, i: int) -> None:
-        # n holds the digits under node i of level k (k == len(tree): root)
-        if k == 0:
-            digits.extend(_radix_split(n, radices[i * _RADIX_LEAF:(i + 1) * _RADIX_LEAF]))
-            return
-        lower = tree[k - 1]
-        if 2 * i + 1 < len(lower):
-            n, low = divmod(n, lower[2 * i])
-            split(low, k - 1, 2 * i)
-            split(n, k - 1, 2 * i + 1)
-        else:
-            split(n, k - 1, 2 * i)
-
-    split(n, len(tree), 0)
+    # an odd last node moves up alone; the root's product is never needed
+    level = [prod(radices[i:i + _RADIX_LEAF]) for i in range(0, len(radices), _RADIX_LEAF)]
+    levels = [level]
+    while len(level) > 2:
+        up = [a * b for a, b in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            up.append(level[-1])
+        levels.append(up)
+        level = up
+    values = [n]  # one per node of the level above the one being cut
+    for level in reversed(levels):
+        cut = []
+        for v, w in zip(values, level[:-1:2]):  # w: the left node of a pair
+            high, low = divmod(v, w)
+            cut += low, high
+        if len(level) % 2:  # the odd last node came up alone
+            cut.append(values[-1])
+        values = cut
+    for i, v in enumerate(values):
+        digits += _radix_split(v, radices[i * _RADIX_LEAF:(i + 1) * _RADIX_LEAF])
     return digits
 
 
@@ -150,33 +145,32 @@ def _radix_join(digits: Sequence[int], radices: Sequence[int]) -> int:
     """Evaluate d[0] + r[0] * (d[1] + r[1] * (...)); inverse of _radix_split.
 
     One radix per digit (the last is never used); digits may exceed their
-    radix.
+    radix.  Above _RADIX_LEAF radices, neighbouring (value, radix product)
+    pairs merge up from the leaves: (v, w), (u, x) -> (v + w * u, w * x).
     """
     if len(radices) <= _RADIX_LEAF:  # one leaf: the digit-at-a-time loop
         n = 0
         for r, d in zip(reversed(radices), reversed(digits)):
             n = n * r + d
         return n
-    tree = _product_tree(radices)
-
-    def join(k: int, i: int) -> int:
-        # value of the digits under node i of level k (k == len(tree): root)
-        if k == 0:
-            lo, hi = i * _RADIX_LEAF, (i + 1) * _RADIX_LEAF
-            return _radix_join(digits[lo:hi], radices[lo:hi])
-        lower = tree[k - 1]
-        if 2 * i + 1 < len(lower):
-            return join(k - 1, 2 * i) + lower[2 * i] * join(k - 1, 2 * i + 1)
-        return join(k - 1, 2 * i)
-
-    return join(len(tree), 0)
+    pairs = []
+    for i in range(0, len(radices), _RADIX_LEAF):
+        leaf = radices[i:i + _RADIX_LEAF]
+        pairs.append((_radix_join(digits[i:i + _RADIX_LEAF], leaf), prod(leaf)))
+    while len(pairs) > 2:  # an odd last pair moves up alone
+        up = [(v + w * u, w * x) for (v, w), (u, x) in zip(pairs[::2], pairs[1::2])]
+        if len(pairs) % 2:
+            up.append(pairs[-1])
+        pairs = up
+    (v, w), (u, _) = pairs  # the root's product would go unused
+    return v + w * u
 
 
 def to_base(base: int, n: int) -> DigitList:
     """Expand n in the given base; the last digit is nonzero except for 0 itself.
 
     Power-of-two bases cut n's bit string into fixed-width digits (linear);
-    other bases split n along a product tree of base**(2**j) powers.
+    other bases divide n top-down by the powers base**(2**j * _RADIX_LEAF).
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -202,7 +196,8 @@ def from_base(base: int, ds: DigitList | Iterable[int]) -> int:
     """Evaluate little-endian digits: sum of ds[i] * base**i.
 
     Power-of-two bases are parsed as one digit string (linear); other
-    bases join the digits along a product tree of base**(2**j) powers.
+    bases join the digits pairwise up a tree, level j multiplying by
+    base**(2**j * _RADIX_LEAF).
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -242,7 +237,7 @@ def to_maxbits(maxbits: int, n: int) -> list[int]:
     """Bits of n zero-padded on the high side to exactly maxbits positions."""
     bs = to_rbits(n)
     if len(bs) > maxbits:
-        raise OverflowError(f"{n} needs {len(bs)} bits, limit is {maxbits}")
+        raise OverflowError(f"{_int_text(n)} needs {len(bs)} bits, limit is {maxbits}")
     return bs + [0] * (maxbits - len(bs))
 
 

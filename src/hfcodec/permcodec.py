@@ -7,12 +7,12 @@ reads a lexicographic rank below k! straight into a permutation.  Sizes
 are chained by sf(k) = 0! + ... + (k-1)!, giving a single numbering of
 all finite permutations in order of size.
 
-Factoradics split and join along a product tree of the radices 1, 2,
-3, ... (natbits._radix_split/_radix_join, which keep a digit-at-a-time
-loop for short ones).  fr and to_sf size their answer by bisecting tables
-of factorials and of their sums below 128!, and above it from the bit
-length with math.lgamma, so no loop here runs once per digit on a big
-integer.
+Factoradics split and join the radices 1, 2, 3, ... along a balanced
+binary tree (natbits._radix_split/_radix_join, which keep a
+digit-at-a-time loop for short ones).  fr, to_sf and nth2perm size their
+answer by bisecting tables of factorials and of their sums below 128!,
+and above it from the bit length with math.lgamma, so no loop here runs
+once per digit on a big integer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import factorial, lgamma, log
 from operator import mul
 from typing import Sequence
 
-from .natbits import _check_natural, _radix_join, _radix_split
+from .natbits import _check_natural, _int_text, _radix_join, _radix_split
 
 _LN2 = log(2)
 # 0!, 1!, ..., 128! and sf(0), sf(1), ..., sf(129): fr and to_sf size
@@ -42,16 +42,10 @@ def _factorial_size(n: int) -> int:
     # least k with lgamma(k + 1) >= ln(2) * bit_length + 1, so that
     # k! >= e * 2**bit_length > n; the margin of e absorbs lgamma's rounding
     x = n.bit_length() * _LN2 + 1
-    lo, hi = 1, 2
+    hi = 128
     while lgamma(hi + 1) < x:
-        lo, hi = hi + 1, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lgamma(mid + 1) < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+        hi *= 2
+    return bisect_left(range(hi), x, 128, key=lambda k: lgamma(k + 1))
 
 
 def fr(n: int) -> list[int]:
@@ -126,10 +120,12 @@ def nth2perm(size_rank: tuple[int, int]) -> list[int]:
     """
     size, rank = size_rank
     _check_natural(rank)
-    ds = fl(rank) if rank else []  # rank 0 pads to all-zero Lehmer digits
-    if len(ds) > size:
-        raise OverflowError(f"rank {rank} does not fit a size-{size} permutation")
-    return lehmer2perm([0] * (size - len(ds)) + ds)
+    # rank needs _factorial_size(rank) Lehmer digits, or one fewer above 128!
+    k = _factorial_size(rank)
+    if k > size and (k > size + 1 or rank >= factorial(size)):
+        raise OverflowError(f"rank {_int_text(rank)} does not fit a size-{size} permutation")
+    ds = _radix_split(rank, range(1, min(k, size) + 1))
+    return lehmer2perm([0] * (size - len(ds)) + ds[::-1])
 
 
 def perm2nth(ps: Sequence[int]) -> tuple[int, int]:

@@ -229,3 +229,11 @@ def test_broken_pipe_is_quiet(monkeypatch):
     finally:
         writer.close()
         os.close(read_fd)
+
+
+def test_sized_perm_refuses_a_huge_rank_by_its_bit_length(capsys):
+    # a 0x rank has no digit limit, but its 19729 decimal digits cannot print
+    code, out, err = run_cli(capsys, "decode", "--codec", "perm", "--sized",
+                             "3 0x" + "f" * 16384)
+    assert (code, out) == (2, "")
+    assert err == "hfcodec: rank <65536-bit integer> does not fit a size-3 permutation\n"

@@ -510,7 +510,9 @@ def test_memo_keys_survive_colliding_int_hashes():
     start = time.monotonic()
     t = unrank(c, root)
     parsed = deserialize(text)
+    dag = to_dag(parsed)
     elapsed = time.monotonic() - start
     assert elapsed < 2, f"took {elapsed:.2f}s, budget is 2s"
+    assert len(dag.nodes) == 20001
     assert t == F(*[F()] * 20000)
     assert [a.value for a in parsed.children] == kids

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from hfcodec.hftree import Atom, Forest, codec_hfs, rank, unrank
+from hfcodec.permcodec import nth2perm
 from hfcodec.natbits import (
     DigitList,
     bitcount,
@@ -94,6 +96,32 @@ def test_negative_inputs_rejected(bad):
         to_rbits(bad)
     with pytest.raises(ValueError):
         bitcount(bad)
+
+
+@pytest.mark.parametrize("call, exc, small, huge", [
+    (lambda n: to_base(10, -n), ValueError, "expected a natural number, got -42",
+     "expected a natural number, got <negative 65537-bit integer>"),
+    (lambda n: unrank(codec_hfs(), -n), ValueError, "expected a natural number, got -42",
+     "expected a natural number, got <negative 65537-bit integer>"),
+    (lambda n: nth2perm((3, n)), OverflowError, "rank 42 does not fit a size-3 permutation",
+     "rank <65537-bit integer> does not fit a size-3 permutation"),
+    (lambda n: to_maxbits(3, n), OverflowError, "42 needs 6 bits, limit is 3",
+     "<65537-bit integer> needs 65537 bits, limit is 3"),
+    (lambda n: DigitList(10, [n]), ValueError, "digit 42 out of range for base 10",
+     "digit <65537-bit integer> out of range for base 10"),
+    (lambda n: Atom(-n), ValueError, "atom value must be a natural, got -42",
+     "atom value must be a natural, got <negative 65537-bit integer>"),
+    (lambda n: rank(codec_hfs(), Forest((Atom(n),))), ValueError,
+     "atom 42 out of range for ulimit 0", "atom <65537-bit integer> out of range for ulimit 0"),
+], ids=["to_base", "unrank", "nth2perm", "to_maxbits", "DigitList", "Atom", "rank"])
+def test_errors_name_unprintable_values_by_bit_length(call, exc, small, huge):
+    # 2**65536 has 19729 decimal digits, past the interpreter's int/str limit
+    with pytest.raises(exc) as info:
+        call(42)
+    assert str(info.value) == small
+    with pytest.raises(exc) as info:
+        call(1 << 65536)
+    assert str(info.value) == huge
 
 
 def test_invalid_base_rejected():

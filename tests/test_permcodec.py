@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from itertools import permutations
 
 import pytest
 
 from hfcodec.permcodec import (
+    _factorial_size,
     fl,
     fr,
     lehmer2perm,
@@ -112,6 +114,42 @@ def test_nth2perm_rank_overflow():
         nth2perm((3, 6))
     with pytest.raises(OverflowError):
         nth2perm((0, 1))
+
+
+def test_nth2perm_refuses_a_huge_rank_before_expanding_it():
+    rank = (1 << 262144) - 1
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match="does not fit a size-3 permutation"):
+        nth2perm((3, rank))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.01, f"took {elapsed * 1000:.1f} ms, budget is 10 ms"
+
+
+def test_nth2perm_fits_ranks_up_to_k_factorial():
+    # 128! is where the size estimate leaves the table for lgamma, which
+    # overshoots by one on every k! - 1 from there on
+    for k in range(120, 140):
+        f = math.factorial(k)
+        assert nth2perm((k, f - 1)) == list(range(k))[::-1]
+        with pytest.raises(OverflowError):
+            nth2perm((k, f))
+
+
+def test_factorial_size_is_the_least_size_or_one_more():
+    # fr strips high zeros and to_sf steps down, so neither shows an overshoot
+    def holds(n, least):
+        return _factorial_size(n) in (least, least + 1)
+
+    f = math.factorial(128)
+    for k in range(129, 2001):
+        f *= k
+        assert holds(f - 1, k) and holds(f, k + 1) and holds(f + 1, k + 1), k
+    rng = random.Random(13)
+    for _ in range(100):
+        n = rng.getrandbits(rng.randrange(1, 262145))
+        s = _factorial_size(n)
+        # s! > n, and s - 2 is below the least size, so (s - 2)! <= n
+        assert math.factorial(s) > n and (s < 2 or math.factorial(s - 2) <= n), s
 
 
 def test_sf_golden_and_oracle():
