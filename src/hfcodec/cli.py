@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from functools import partial
 from typing import Callable, Sequence
@@ -24,17 +25,18 @@ class UsageError(ValueError):
     """Bad flag combination or malformed input; maps to exit code 2."""
 
 
+# ASCII digits only: int() alone also takes signs, underscores and other digits
+_HEX = re.compile(r"0[xX][0-9a-fA-F]+")
+
+
 def _parse_natural(text: str) -> int:
+    # decimal skips the regex: lists parse one short token at a time
     s = text.strip()
-    if s.lower().startswith("0x"):
-        body, base = s[2:], 16
-        ok = body != "" and all(c in "0123456789abcdefABCDEF" for c in body)
-    else:
-        body, base = s, 10
-        ok = body.isascii() and body.isdigit()
-    if not ok:
+    if s.isascii() and s.isdigit():
+        return int(s)
+    if not _HEX.fullmatch(s):
         raise UsageError(f"not a natural number: {text!r}")
-    return int(body, base)
+    return int(s, 16)  # base 16 takes the 0x prefix
 
 
 def _parse_nat_list(text: str) -> list[int]:

@@ -31,10 +31,8 @@ from typing import Iterable, Iterator, Sequence
 # building and parsing a bit string (measured crossover, CPython 3.11).
 _LOOP_BITS = 32
 
-# '0'/'1' characters <-> bit values 0/1, for bytes.translate
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-
-# digits of int() and format() for the power-of-two bases up to 32
+# digits of int() and format() for the power-of-two bases up to 32; in
+# particular '0'/'1' characters <-> bit values 0/1, for bytes.translate
 _DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuv"
 _CHAR_VALUES = bytes.maketrans(_DIGIT_CHARS, bytes(range(32)))
 _VALUE_CHARS = bytes.maketrans(bytes(range(32)), _DIGIT_CHARS)
@@ -220,7 +218,7 @@ def from_base(base: int, ds: DigitList | Iterable[int]) -> int:
 def to_rbits(n: int) -> list[int]:
     """Bits of n, least significant first; to_rbits(0) == [0]."""
     _check_natural(n)
-    return list(_rbitstr(n).translate(_BIT_VALUES))
+    return list(_rbitstr(n).translate(_CHAR_VALUES))
 
 
 def from_rbits(bs: Iterable[int]) -> int:
@@ -235,10 +233,10 @@ def to_rbits0(n: int) -> list[int]:
 
 def to_maxbits(maxbits: int, n: int) -> list[int]:
     """Bits of n zero-padded on the high side to exactly maxbits positions."""
-    bs = to_rbits(n)
-    if len(bs) > maxbits:
-        raise OverflowError(f"{_int_text(n)} needs {len(bs)} bits, limit is {maxbits}")
-    return bs + [0] * (maxbits - len(bs))
+    size = bitcount(n)
+    if size > maxbits:
+        raise OverflowError(f"{_int_text(n)} needs {size} bits, limit is {maxbits}")
+    return to_rbits(n) + [0] * (maxbits - size)
 
 
 def bitcount(n: int) -> int:

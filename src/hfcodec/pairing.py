@@ -131,7 +131,6 @@ def ftuple2nat(ns: Sequence[int]) -> int:
 
 def nat2ftuple(n: int) -> list[int]:
     """Decode a tuple together with its length; inverse of ftuple2nat."""
-    _check_natural(n)
     if n == 0:
         return []
     k, f = pepis_unpair(n)

@@ -2,10 +2,11 @@
 
 A natural splits into factoradic digits with weights 0!, 1!, 2!, ...; a
 permutation of size k splits into its Lehmer code, whose digit i counts
-the later entries smaller than entry i.  The two meet in nth2perm, which
-reads a lexicographic rank below k! straight into a permutation.  Sizes
-are chained by sf(k) = 0! + ... + (k-1)!, giving a single numbering of
-all finite permutations in order of size.
+the later entries smaller than entry i.  The two meet in nth2perm: the k
+factoradic digits of a lexicographic rank below k!, high zeros kept, are
+its Lehmer code.  Sizes are chained by sf(k) = 0! + ... + (k-1)!, giving
+a single numbering of all finite permutations in order of size; nat2perm
+splits the rank that to_sf leaves into its k digits directly.
 
 Factoradics split and join the radices 1, 2, 3, ... along a balanced
 binary tree (natbits._radix_split/_radix_join, which keep a
@@ -79,22 +80,16 @@ def lf(ds: Sequence[int]) -> int:
     return rf(list(ds)[::-1])
 
 
-def _check_perm(ps: Sequence[int]) -> None:
-    seen = [False] * len(ps)
-    for v in ps:
-        if not isinstance(v, int) or not 0 <= v < len(ps) or seen[v]:
-            raise ValueError(f"not a permutation of 0..{len(ps) - 1}: {list(ps)}")
-        seen[v] = True
-
-
 def perm2lehmer(ps: Sequence[int]) -> list[int]:
     """Lehmer code: digit i counts later entries smaller than entry i."""
-    _check_perm(ps)
     pool = list(range(len(ps)))
     out = []
     for v in ps:
-        # index of v among the still-unused values == later smaller entries
-        i = bisect_left(pool, v)
+        # index of v among the still-unused values == later smaller entries;
+        # a value not found there is out of range or already used
+        i = bisect_left(pool, v) if isinstance(v, int) else len(pool)
+        if i == len(pool) or pool[i] != v:
+            raise ValueError(f"not a permutation of 0..{len(ps) - 1}: {list(ps)}")
         out.append(i)
         pool.pop(i)
     return out
@@ -125,13 +120,15 @@ def nth2perm(size_rank: tuple[int, int]) -> list[int]:
     if k > size and (k > size + 1 or rank >= factorial(size)):
         raise OverflowError(f"rank {_int_text(rank)} does not fit a size-{size} permutation")
     ds = _radix_split(rank, range(1, min(k, size) + 1))
-    return lehmer2perm([0] * (size - len(ds)) + ds[::-1])
+    # the size - len(ds) high zero digits pick 0, 1, ... in order, unpopped
+    head = size - len(ds)
+    return [*range(head), *(head + v for v in lehmer2perm(ds[::-1]))]
 
 
 def perm2nth(ps: Sequence[int]) -> tuple[int, int]:
     """Size and lexicographic rank of a permutation; inverse of nth2perm."""
     ls = perm2lehmer(ps)
-    return len(ls), lf(ls)
+    return len(ls), _radix_join(ls[::-1], range(1, len(ls) + 1))
 
 
 def sf(n: int) -> int:
@@ -162,10 +159,8 @@ def to_sf(n: int) -> tuple[int, int]:
 
 def nat2perm(n: int) -> list[int]:
     """The n-th finite permutation, ordered by size then lexicographically."""
-    _check_natural(n)
-    if n == 0:
-        return []
-    return nth2perm(to_sf(n))
+    k, rank = to_sf(n)
+    return lehmer2perm(_radix_split(rank, range(1, k + 1))[::-1])
 
 
 def perm2nat(ps: Sequence[int]) -> int:
@@ -173,4 +168,5 @@ def perm2nat(ps: Sequence[int]) -> int:
 
     sf(size) + lf(lehmer) in one evaluation: digit i of both sums weighs i!.
     """
-    return rf([d + 1 for d in reversed(perm2lehmer(ps))])
+    ls = perm2lehmer(ps)
+    return _radix_join([d + 1 for d in reversed(ls)], range(1, len(ls) + 1))

@@ -16,22 +16,22 @@ from __future__ import annotations
 from itertools import compress, count, groupby
 from typing import Sequence
 
-from .natbits import _BIT_VALUES, _LOOP_BITS, _check_natural, _rbitstr
+from .natbits import _CHAR_VALUES, _LOOP_BITS, _check_natural, _rbitstr
 
 
-def _check_increasing(s: Sequence[int]) -> None:
+def _check_set(s: Sequence[int]) -> None:
     prev = -1
     for e in s:
         if e <= prev:
             raise ValueError(f"set elements must be strictly increasing, got {list(s)}")
         prev = e
+    if s and s[0] < 0:
+        raise ValueError(f"set elements must be naturals, got {list(s)}")
 
 
 def set2nat(s: Sequence[int]) -> int:
     """Sum of 2**e over a strictly increasing sequence of naturals."""
-    _check_increasing(s)
-    if s and s[0] < 0:
-        raise ValueError(f"set elements must be naturals, got {list(s)}")
+    _check_set(s)
     return _set2nat(s)
 
 
@@ -52,7 +52,7 @@ def nat2set(n: int) -> list[int]:
     """Positions of the set bits of n, in increasing order."""
     _check_natural(n)
     if int.bit_length(n) > _LOOP_BITS:
-        return list(compress(count(), _rbitstr(n).translate(_BIT_VALUES)))
+        return list(compress(count(), _rbitstr(n).translate(_CHAR_VALUES)))
     out = []
     while n:
         low = n & -n
@@ -73,9 +73,7 @@ def fun2set(f: Sequence[int]) -> list[int]:
 
 def set2fun(s: Sequence[int]) -> list[int]:
     """Gaps between consecutive elements, minus one; inverse of fun2set."""
-    _check_increasing(s)
-    if s and s[0] < 0:
-        raise ValueError(f"set elements must be naturals, got {list(s)}")
+    _check_set(s)
     return _set2fun(s)
 
 

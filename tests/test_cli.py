@@ -141,6 +141,8 @@ def test_tree_round_trip_through_cli(capsys, codec, ulimit):
         ["decode", "--codec", "perm", "--ulimit", "5", "42"],
         ["decode", "--codec", "set", "abc"],
         ["decode", "--codec", "set", "-1"],
+        *(["decode", "--codec", "set", text]
+          for text in ("0x", "0x1g", "1_0", "+1", "1 0", "", "\u0661\u0662", "\u00b2")),
         ["decode", "--codec", "perm", "--sized", "2008"],
         ["decode", "--codec", "perm", "--sized", "2 5"],
         ["decode", "--codec", "perm", "--sized", "--format", "decimal", "8 2008"],
@@ -197,9 +199,30 @@ def test_depth_limit_env(capsys, monkeypatch):
 def test_selfcheck_passes(capsys):
     code, out, err = run_cli(capsys, "selfcheck", "50", "13")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[-1] == f"{len(selfcheck.LAWS)}/{len(selfcheck.LAWS)} laws hold (max_n=50, seed=13)"
-    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert out.splitlines() == [
+        "PASS base-round-trip",
+        "PASS maxbits-padding",
+        "PASS bitcount-vs-search",
+        "PASS cantor-pairing",
+        "PASS pepis-pairing",
+        "PASS bitmerge-pairing",
+        "PASS tuple-round-trip",
+        "PASS ftuple-round-trip",
+        "PASS set-round-trip",
+        "PASS fun-round-trip",
+        "PASS rle-round-trip",
+        "PASS factoradic-round-trip",
+        "PASS perm-round-trip",
+        "PASS hfs-round-trip",
+        "PASS hff-round-trip",
+        "PASS hff1-round-trip",
+        "PASS hff2-round-trip",
+        "PASS hfp-round-trip",
+        "PASS hfs-goldens",
+        "PASS render-goldens",
+        "PASS serialize-round-trip",
+        "21/21 laws hold (max_n=50, seed=13)",
+    ]
 
 
 def test_selfcheck_reports_broken_law(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from itertools import islice
 
@@ -309,6 +310,19 @@ def test_dot_output():
 
     dot = dag_to_dot(to_dag(Atom(3)), hash_len=4)
     assert hashlib.sha256(b"a3").hexdigest()[:4] in dot
+
+
+def test_dot_memory_is_linear_on_a_chain():
+    # hff1 of a power of two is a chain: keeping every distinct subtree's
+    # text at once peaked at 65 MB here, for under 0.5 MB of DOT text
+    t = unrank(codec_hff1(), 1 << 8000)
+    tracemalloc.start()
+    try:
+        to_dot(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MB, budget is 16 MB"
 
 
 def test_wrapper_functions_accept_ulimit():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -166,6 +167,15 @@ def test_to_maxbits_overflow():
         to_maxbits(2, 4)
     with pytest.raises(OverflowError):
         to_maxbits(0, 0)  # even zero needs one position
+
+
+def test_to_maxbits_refuses_before_building_bits():
+    n = 1 << (1 << 22)
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match="needs 4194305 bits, limit is 3"):
+        to_maxbits(3, n)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.01, f"took {elapsed * 1000:.1f} ms, budget is 10 ms"
 
 
 def test_bitcount_against_search():

@@ -125,6 +125,16 @@ def test_nth2perm_refuses_a_huge_rank_before_expanding_it():
     assert elapsed < 0.01, f"took {elapsed * 1000:.1f} ms, budget is 10 ms"
 
 
+def test_nth2perm_of_a_huge_size_is_linear():
+    # the high zero Lehmer digits of a small rank pick 0, 1, ... in order
+    start = time.perf_counter()
+    assert nth2perm((200_000, 0)) == list(range(200_000))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1, f"took {elapsed:.2f} s, budget is 1 s"
+    tail = nth2perm((200_000, 10**100))[-70:]
+    assert tail == [199_930 + v for v in nth2perm((70, 10**100))]
+
+
 def test_nth2perm_fits_ranks_up_to_k_factorial():
     # 128! is where the size estimate leaves the table for lgamma, which
     # overshoots by one on every k! - 1 from there on

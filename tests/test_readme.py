@@ -1,10 +1,14 @@
-"""The README's fenced ``python`` examples, each run as one doctest."""
+"""The README's examples: each fenced ``python`` block run as one doctest,
+and each ``$ hfcodec ...`` line of its ``sh`` blocks run through the CLI."""
 
 import doctest
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from hfcodec import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -13,6 +17,13 @@ TEXT = README.read_text(encoding="utf-8")
 BLOCKS = [
     (TEXT.count("\n", 0, m.start(1)), m.group(1))
     for m in re.finditer(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+]
+# (command line, expected stdout lines) for each "$ hfcodec" line that is
+# not piped; a "..." line in the output stands for lines left unchecked
+COMMANDS = [
+    (m.group(1), m.group(2).splitlines())
+    for block in re.findall(r"^```sh\n(.*?)^```", TEXT, re.M | re.S)
+    for m in re.finditer(r"^\$ hfcodec ([^|\n]*)\n((?:[^$].*\n)*)", block, re.M)
 ]
 
 
@@ -23,3 +34,17 @@ def test_readme_example(lineno, source):
     result = doctest.DocTestRunner().run(test, out=out.append)
     assert result.attempted > 0
     assert result.failed == 0, "".join(out)
+
+
+def test_readme_lists_commands():
+    assert len(COMMANDS) == 8
+
+
+@pytest.mark.parametrize("command, expected", COMMANDS, ids=[c for c, _ in COMMANDS])
+def test_readme_command(capsys, command, expected):
+    assert cli.main(shlex.split(command)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if "..." in expected:
+        expected = expected[expected.index("...") + 1:]
+        lines = lines[len(lines) - len(expected):]
+    assert lines == expected
