@@ -249,8 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser serves every call: parse_args returns a fresh namespace each time
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

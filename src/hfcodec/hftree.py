@@ -48,6 +48,8 @@ class Atom:
     value: int
 
     def __post_init__(self) -> None:
+        if type(self.value) is not int:
+            raise TypeError(f"atom value must be an int, got {type(self.value).__name__}")
         if self.value < 0:
             raise ValueError(f"atom value must be a natural, got {_int_text(self.value)}")
 
@@ -72,8 +74,6 @@ class Forest:
         object.__setattr__(self, "children", tuple(self.children))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Atom):
-            return False
         if not isinstance(other, Forest):
             return NotImplemented
         # the right-hand forest each left-hand forest was last queued with:

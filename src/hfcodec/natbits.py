@@ -26,9 +26,11 @@ from dataclasses import dataclass
 from math import log2, prod
 from typing import Iterable, Iterator, Sequence
 
-# Codes of at most this many bits stay on the word-sized big-int loops in
-# setfun and pairing: below it a Python loop over a few set bits beats
-# building and parsing a bit string (measured crossover, CPython 3.11).
+# Codes of at most this many bits stay on a word-sized loop over their set
+# bits in three places: nat2set and _set2nat (setfun) and from_tuple
+# (pairing).  On codes of a few bits the loop takes about half the time of
+# building and parsing a bit string (CPython 3.11).  to_tuple has no such
+# loop: its divmod per set bit already lost to slicing at 16 bits.
 _LOOP_BITS = 32
 
 # digits of int() and format() for the power-of-two bases up to 32; in
@@ -62,6 +64,8 @@ class DigitList:
             raise ValueError(f"base must be >= 2, got {self.base}")
         object.__setattr__(self, "digits", tuple(self.digits))
         for d in self.digits:
+            if type(d) is not int:
+                raise TypeError(f"digits must be ints, got {type(d).__name__}")
             if not 0 <= d < self.base:
                 raise ValueError(f"digit {_int_text(d)} out of range for base {self.base}")
 
@@ -89,6 +93,8 @@ def _int_text(n: int) -> str:
 
 
 def _check_natural(n: int) -> None:
+    if type(n) is not int:  # not isinstance: a bool is an int
+        raise TypeError(f"expected a natural number, got {type(n).__name__}")
     if n < 0:
         raise ValueError(f"expected a natural number, got {_int_text(n)}")
 
@@ -228,6 +234,7 @@ def from_rbits(bs: Iterable[int]) -> int:
 
 def to_rbits0(n: int) -> list[int]:
     """Like to_rbits, except 0 maps to the empty list."""
+    _check_natural(n)
     return [] if n == 0 else to_rbits(n)
 
 

@@ -8,10 +8,11 @@ Three pairings with different growth profiles:
 
 ``to_tuple``/``from_tuple`` generalize bitmerge to a fixed arity k by
 dealing the bits of n round-robin into k streams (bitmerge is their
-k == 2 case; codes above natbits._LOOP_BITS bits are dealt as strided
-slices of the bit string, linear in the bit length), and ``ftuple2nat``/
-``nat2ftuple`` extend that to tuples of arbitrary length by folding the
-length into a pepis pair.
+k == 2 case), and ``ftuple2nat``/``nat2ftuple`` extend that to tuples of
+arbitrary length by folding the length into a pepis pair.  The streams
+are strided slices of the bit string, linear in the bit length;
+``to_tuple`` slices at every size, while ``from_tuple`` merges at most
+natbits._LOOP_BITS bits with a loop over the set bits.
 """
 
 from __future__ import annotations
@@ -48,13 +49,8 @@ def pepis_unpair(n: int) -> tuple[int, int]:
     """Invert pepis_pair: the first component is the dyadic valuation of n+1."""
     _check_natural(n)
     m = n + 1
-    a = _dyadic_valuation(m)
+    a = (m & -m).bit_length() - 1  # exponent of the largest power of 2 dividing m
     return a, ((m >> a) - 1) // 2
-
-
-def _dyadic_valuation(m: int) -> int:
-    # exponent of the largest power of 2 dividing m; m must be > 0
-    return (m & -m).bit_length() - 1
 
 
 def bitmerge_pair(p: tuple[int, int]) -> int:
@@ -78,16 +74,8 @@ def to_tuple(k: int, n: int) -> list[int]:
     if k < 1:
         raise ValueError(f"arity must be >= 1, got {k}")
     _check_natural(n)
-    if int.bit_length(n) > _LOOP_BITS:
-        bs = _rbitstr(n)
-        return [_rbitstr2nat(bs[i::k]) for i in range(k)]
-    out = [0] * k
-    while n:
-        low = n & -n
-        q, r = divmod(low.bit_length() - 1, k)
-        out[r] |= 1 << q
-        n ^= low
-    return out
+    bs = _rbitstr(n)
+    return [_rbitstr2nat(bs[i::k]) for i in range(k)]
 
 
 def from_tuple(ns: Sequence[int]) -> int:
@@ -124,14 +112,16 @@ def ftuple2nat(ns: Sequence[int]) -> int:
     """
     if len(ns) == 0:
         return 0
-    if len(ns) == 1 and ns[0] == 0:
+    f = from_tuple(ns)  # checks the entries, so a bool is not taken for 0
+    if f == 0 and len(ns) == 1:
         raise ValueError("[0] has no code; it would collide with the empty tuple")
-    return pepis_pair(len(ns) - 1, from_tuple(ns))
+    return pepis_pair(len(ns) - 1, f)
 
 
 def nat2ftuple(n: int) -> list[int]:
     """Decode a tuple together with its length; inverse of ftuple2nat."""
     if n == 0:
+        _check_natural(n)  # refuses False and 0.0; pepis_unpair checks the rest
         return []
     k, f = pepis_unpair(n)
     return to_tuple(k + 1, f)

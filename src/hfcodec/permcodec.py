@@ -86,8 +86,9 @@ def perm2lehmer(ps: Sequence[int]) -> list[int]:
     out = []
     for v in ps:
         # index of v among the still-unused values == later smaller entries;
-        # a value not found there is out of range or already used
-        i = bisect_left(pool, v) if isinstance(v, int) else len(pool)
+        # a non-int (a bool too) is not looked up, and a value not found
+        # there is out of range or already used
+        i = bisect_left(pool, v) if type(v) is int else len(pool)
         if i == len(pool) or pool[i] != v:
             raise ValueError(f"not a permutation of 0..{len(ps) - 1}: {list(ps)}")
         out.append(i)
@@ -100,7 +101,7 @@ def lehmer2perm(ls: Sequence[int]) -> list[int]:
     pool = list(range(len(ls)))
     out = []
     for i, d in enumerate(ls):
-        if not 0 <= d < len(pool):
+        if type(d) is not int or not 0 <= d < len(pool):
             raise ValueError(
                 f"Lehmer digit {d} at position {i} out of range for size {len(ls)}"
             )

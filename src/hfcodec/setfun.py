@@ -22,6 +22,8 @@ from .natbits import _CHAR_VALUES, _LOOP_BITS, _check_natural, _rbitstr
 def _check_set(s: Sequence[int]) -> None:
     prev = -1
     for e in s:
+        if type(e) is not int:
+            raise TypeError(f"set elements must be ints, got {type(e).__name__}")
         if e <= prev:
             raise ValueError(f"set elements must be strictly increasing, got {list(s)}")
         prev = e

@@ -1,12 +1,12 @@
 """The bit layer against independent bin()-string oracles.
 
 Set, function, run-length, tuple, bitmerge and power-of-two-base codecs
-read and write big codes through bit strings and keep a word-sized loop
-for small ones.  Every function is checked against an oracle that works
-on bin() text character by character, on both sides of the small-code
-cutoff (every bit length 0..80), on hypothesis-drawn inputs up to 4096
-bits, and once at 65536 bits.  A timed 65536-bit round trip guards the
-linear cost.
+read and write big codes through bit strings; nat2set, set2nat and
+from_tuple keep a word-sized loop for small ones.  Every function is
+checked against an oracle that works on bin() text character by
+character, on both sides of the small-code cutoff (every bit length
+0..80), on hypothesis-drawn inputs up to 4096 bits, and once at 65536
+bits.  A timed 65536-bit round trip guards the linear cost.
 """
 
 import random
@@ -19,21 +19,25 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
+from hfcodec.hftree import Atom, Forest, serialize  # noqa: E402
 from hfcodec.natbits import (  # noqa: E402
     DigitList,
     from_base,
     from_rbits,
     to_base,
     to_rbits,
+    to_rbits0,
 )
 from hfcodec.pairing import (  # noqa: E402
     bitmerge_pair,
     bitmerge_unpair,
+    cantor_pair,
     from_tuple,
     ftuple2nat,
     nat2ftuple,
     to_tuple,
 )
+from hfcodec.permcodec import fr, lehmer2perm, perm2nat  # noqa: E402
 from hfcodec.setfun import (  # noqa: E402
     fun2nat,
     nat2fun,
@@ -319,6 +323,32 @@ ENCODERS_OF_NEGATIVE = {
 def test_negative_input_raises_value_error(name, m):
     with pytest.raises(ValueError):
         ENCODERS_OF_NEGATIVE[name](m)
+
+
+# a bool or a non-int is never read as a natural: each call raises
+# rather than answer as if it had been given an int
+NON_NATURAL_CALLS = {
+    "fr(7.5)": (TypeError, lambda: fr(7.5)),
+    "cantor_pair(1.5, 2)": (TypeError, lambda: cantor_pair(1.5, 2)),
+    "from_base(10, [1.5])": (TypeError, lambda: from_base(10, [1.5])),
+    "nat2set(True)": (TypeError, lambda: nat2set(True)),
+    "fun2nat([True, 2])": (TypeError, lambda: fun2nat([True, 2])),
+    "set2nat([True])": (TypeError, lambda: set2nat([True])),
+    "serialize(Forest((Atom(True),)))":
+        (TypeError, lambda: serialize(Forest((Atom(True),)))),
+    "perm2nat([True, 0])": (ValueError, lambda: perm2nat([True, 0])),
+    "lehmer2perm([True, 0])": (ValueError, lambda: lehmer2perm([True, 0])),
+    "nat2ftuple(False)": (TypeError, lambda: nat2ftuple(False)),
+    "ftuple2nat([False])": (TypeError, lambda: ftuple2nat([False])),
+    "to_rbits0(0.0)": (TypeError, lambda: to_rbits0(0.0)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_NATURAL_CALLS))
+def test_bool_or_non_int_input_raises(call):
+    error, run = NON_NATURAL_CALLS[call]
+    with pytest.raises(error):
+        run()
 
 
 @pytest.mark.parametrize("m", NEGATIVES)

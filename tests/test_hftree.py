@@ -78,6 +78,8 @@ def test_equality_and_hash():
     assert Atom(3) == Atom(3)
     assert Atom(3) != Atom(4)
     assert Atom(0) != F()
+    assert F() != Atom(0)
+    assert not (F() == Atom(0))
     assert F(Atom(1), F()) == F(Atom(1), F())
     assert F(Atom(1), F()) != F(F(), Atom(1))
     assert hash(F(Atom(1), F())) == hash(F(Atom(1), F()))
