@@ -60,6 +60,7 @@ class DigitList:
     digits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_int(self.base, "base")
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
         object.__setattr__(self, "digits", tuple(self.digits))
@@ -90,6 +91,12 @@ def _int_text(n: int) -> str:
         return str(n)
     except ValueError:
         return f"<{'negative ' if n < 0 else ''}{n.bit_length()}-bit integer>"
+
+
+def _check_int(x: int, what: str) -> None:
+    """Refuse an argument that must be an int (a base, arity, size, ulimit or atom value)."""
+    if type(x) is not int:  # not isinstance: a bool is an int
+        raise TypeError(f"{what} must be an int, got {type(x).__name__}")
 
 
 def _check_natural(n: int) -> None:
@@ -176,6 +183,7 @@ def to_base(base: int, n: int) -> DigitList:
     Power-of-two bases cut n's bit string into fixed-width digits (linear);
     other bases divide n top-down by the powers base**(2**j * _RADIX_LEAF).
     """
+    _check_int(base, "base")
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     _check_natural(n)
@@ -203,6 +211,7 @@ def from_base(base: int, ds: DigitList | Iterable[int]) -> int:
     bases join the digits pairwise up a tree, level j multiplying by
     base**(2**j * _RADIX_LEAF).
     """
+    _check_int(base, "base")
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if isinstance(ds, DigitList):
@@ -240,6 +249,7 @@ def to_rbits0(n: int) -> list[int]:
 
 def to_maxbits(maxbits: int, n: int) -> list[int]:
     """Bits of n zero-padded on the high side to exactly maxbits positions."""
+    _check_int(maxbits, "maxbits")
     size = bitcount(n)
     if size > maxbits:
         raise OverflowError(f"{_int_text(n)} needs {size} bits, limit is {maxbits}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-from .natbits import _LOOP_BITS, _check_natural, _rbitstr, _rbitstr2nat
+from .natbits import _LOOP_BITS, _check_int, _check_natural, _rbitstr, _rbitstr2nat
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -71,6 +71,7 @@ def to_tuple(k: int, n: int) -> list[int]:
     Component i collects bits i, i+k, i+2k, ... of n: the slice [i::k] of
     n's little-endian bit string.  At k == 2 this is bitmerge_unpair.
     """
+    _check_int(k, "arity")
     if k < 1:
         raise ValueError(f"arity must be >= 1, got {k}")
     _check_natural(n)

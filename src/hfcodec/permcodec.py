@@ -24,7 +24,7 @@ from math import factorial, lgamma, log
 from operator import mul
 from typing import Sequence
 
-from .natbits import _check_natural, _int_text, _radix_join, _radix_split
+from .natbits import _check_int, _check_natural, _int_text, _radix_join, _radix_split
 
 _LN2 = log(2)
 # 0!, 1!, ..., 128! and sf(0), sf(1), ..., sf(129): fr and to_sf size
@@ -115,6 +115,7 @@ def nth2perm(size_rank: tuple[int, int]) -> list[int]:
     Valid whenever rank < size!, including (0, 0) -> [].
     """
     size, rank = size_rank
+    _check_int(size, "permutation size")
     _check_natural(rank)
     # rank needs _factorial_size(rank) Lehmer digits, or one fewer above 128!
     k = _factorial_size(rank)

@@ -19,12 +19,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from hfcodec.hftree import Atom, Forest, serialize  # noqa: E402
+from hfcodec.hftree import Atom, Forest, codec_hfs, serialize  # noqa: E402
 from hfcodec.natbits import (  # noqa: E402
     DigitList,
     from_base,
     from_rbits,
     to_base,
+    to_maxbits,
     to_rbits,
     to_rbits0,
 )
@@ -37,7 +38,7 @@ from hfcodec.pairing import (  # noqa: E402
     nat2ftuple,
     to_tuple,
 )
-from hfcodec.permcodec import fr, lehmer2perm, perm2nat  # noqa: E402
+from hfcodec.permcodec import fr, lehmer2perm, nth2perm, perm2nat  # noqa: E402
 from hfcodec.setfun import (  # noqa: E402
     fun2nat,
     nat2fun,
@@ -341,6 +342,19 @@ NON_NATURAL_CALLS = {
     "nat2ftuple(False)": (TypeError, lambda: nat2ftuple(False)),
     "ftuple2nat([False])": (TypeError, lambda: ftuple2nat([False])),
     "to_rbits0(0.0)": (TypeError, lambda: to_rbits0(0.0)),
+    # the arguments that are not codes: arity, permutation size, base, ulimit
+    "to_tuple(True, 6)": (TypeError, lambda: to_tuple(True, 6)),
+    "to_tuple(2.0, 6)": (TypeError, lambda: to_tuple(2.0, 6)),
+    "nth2perm((True, 0))": (TypeError, lambda: nth2perm((True, 0))),
+    "nth2perm((2.0, 1))": (TypeError, lambda: nth2perm((2.0, 1))),
+    "to_base(10.0, 5)": (TypeError, lambda: to_base(10.0, 5)),
+    "to_base(True, 5)": (TypeError, lambda: to_base(True, 5)),
+    "from_base(10.0, [1])": (TypeError, lambda: from_base(10.0, [1])),
+    "from_base(10.0, to_base(10, 5))": (TypeError, lambda: from_base(10.0, to_base(10, 5))),
+    "DigitList(2.0, [1])": (TypeError, lambda: DigitList(2.0, [1])),
+    "to_maxbits(True, 1)": (TypeError, lambda: to_maxbits(True, 1)),
+    "codec_hfs(True)": (TypeError, lambda: codec_hfs(True)),
+    "codec_hfs(2.0)": (TypeError, lambda: codec_hfs(2.0)),
 }
 
 

@@ -8,7 +8,9 @@ from itertools import islice
 
 import pytest
 
+from hfcodec import hftree
 from hfcodec.hftree import (
+    TREE_CODECS,
     Atom,
     Codec,
     Forest,
@@ -239,6 +241,7 @@ def test_deserialize_errors_carry_positions(text, max_depth, message, pos):
         deserialize(text, max_depth=max_depth)
     assert exc.value.position == pos
     assert str(exc.value) == f"{message} (at position {pos})"
+    assert exc.value.__context__ is None  # the grouped pass leaves no trace
 
 
 def test_unrank_depth_cap():
@@ -339,6 +342,17 @@ def test_negative_input_rejected():
         unrank(codec_hfs(), -1)
     with pytest.raises(ValueError):
         Atom(-1)
+
+
+@pytest.mark.parametrize("make", ALL_CODECS)
+def test_bad_ulimit_is_refused_before_decoding(make):
+    # below 0 the termination contract fails: code 1 would re-expand forever
+    with pytest.raises(ValueError, match="ulimit must be a natural, got -1"):
+        make(-1)
+    with pytest.raises(TypeError, match="ulimit must be an int, got bool"):
+        make(True)
+    with pytest.raises(TypeError, match="ulimit must be an int, got float"):
+        make(2.0)
 
 
 # --- sharing: results against a naive unrank that shares nothing -------------
@@ -532,3 +546,109 @@ def test_memo_keys_survive_colliding_int_hashes():
     assert len(dag.nodes) == 20001
     assert t == F(*[F()] * 20000)
     assert [a.value for a in parsed.children] == kids
+
+
+# --- deserialize's grouped pass against its plain pass ----------------------
+
+def test_grouped_tokens_are_the_shallow_subtrees():
+    h = hftree._GROUP_HEIGHT
+    shallow = "(" * h + ")" * h
+    tall = "(" + shallow + ")"
+    tokens = hftree._GROUPED.findall(f"(a1 (()) {tall} (a2 x")
+    assert tokens == ["(", "a1", "(())", "(", shallow, ")", "(", "a2", "x"]
+
+
+@pytest.mark.parametrize("name", sorted(TREE_CODECS))
+@pytest.mark.parametrize("ulimit", [0, 2, 16])
+def test_deserialize_round_trips_fully_shared(name, ulimit):
+    if given is None:
+        pytest.skip("needs hypothesis")
+    c = TREE_CODECS[name](ulimit)
+
+    @settings(max_examples=15)
+    @given(codes())
+    def prop(n):
+        t = unrank(c, n)
+        parsed = deserialize(serialize(t))
+        assert parsed == t
+        assert_fully_shared(parsed)
+
+    prop()
+
+
+def test_repeat_read_shallow_then_deep_is_depth_checked():
+    # 3 = {0, 1} is a group token below the root, and is met again inside
+    # the group token of 8 = {3} below 256 = {8}: only that second place is
+    # as deep as the limit, and the memo hit must still count it
+    c = codec_hfs()
+    n = (1 << 3) | (1 << 256)
+    text = serialize(unrank(c, n))
+    with pytest.raises(hftree._Reread):
+        hftree._parse(text, 5, hftree._GROUPED)
+    with pytest.raises(ParseError) as exc:
+        deserialize(text, max_depth=5)
+    assert str(exc.value) == str(plain_outcome(text, 5)[1])
+    assert deserialize(text, max_depth=6) == unrank(c, n)
+
+
+def parse_outcome(parse, text, max_depth):
+    """The tree a parse returns, or the type, message and position of its error."""
+    try:
+        return parse(text, max_depth)
+    except ValueError as exc:  # ParseError is a ValueError, as is int()'s digit limit
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def plain_outcome(text, max_depth):
+    return parse_outcome(lambda s, d: hftree._parse(s, d, hftree._TOKEN), text, max_depth)
+
+
+def nesting(text):
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def mutations(text, rng):
+    """text, and copies with one kind of edit: a bracket dropped or doubled,
+    a character or an atom past int()'s digit limit inserted, spaces
+    doubled, or atoms written with leading zeros."""
+    brackets = [i for i, ch in enumerate(text) if ch in "()"]
+    out = [text, text.replace(" ", "  "), text.replace("a", "a0"), " " + text + " "]
+    j = rng.randrange(len(text) + 1)
+    out.append(text[:j] + " a" + "1" * 5000 + " " + text[j:])
+    for _ in range(3):
+        if brackets:  # an atom alone has none
+            i = rng.choice(brackets)
+            out += [text[:i] + text[i + 1:], text[:i] + text[i] + text[i:]]
+        j = rng.randrange(len(text) + 1)
+        out += [text[:j] + s + text[j:] for s in ("x", "\n", "7", "a", " ")]
+    if " " in text:
+        j = rng.choice([i for i, ch in enumerate(text) if ch == " "])
+        out.append(text[:j] + " " + text[j:])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TREE_CODECS))
+def test_grouped_pass_agrees_with_plain_pass_on_mutations(name):
+    rng = random.Random(31)
+    texts = []
+    for ulimit in (0, 2, 16):
+        c = TREE_CODECS[name](ulimit)
+        for n in (0, 1, 42, rng.getrandbits(64), rng.getrandbits(300), 1 << 40):
+            texts.append(serialize(unrank(c, n)))
+    for text in texts:
+        depths = [None, *range(nesting(text) + 2)]
+        for mutated in mutations(text, rng):
+            for d in depths:
+                want = plain_outcome(mutated, d)
+                assert parse_outcome(deserialize, mutated, d) == want, (mutated, d)
+                try:
+                    got = hftree._parse(mutated, d, hftree._GROUPED)
+                except (hftree._Reread, ValueError):
+                    assert not isinstance(want, Forest | Atom), (mutated, d)
+                else:
+                    assert got == want, (mutated, d)
+                    assert_fully_shared(got)
