@@ -116,6 +116,8 @@ def nth2perm(size_rank: tuple[int, int]) -> list[int]:
     """
     size, rank = size_rank
     _check_int(size, "permutation size")
+    if size < 0:
+        raise ValueError(f"permutation size must be a natural, got {_int_text(size)}")
     _check_natural(rank)
     # rank needs _factorial_size(rank) Lehmer digits, or one fewer above 128!
     k = _factorial_size(rank)

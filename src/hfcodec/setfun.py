@@ -101,7 +101,9 @@ def bits2rle(bs: Sequence[int]) -> list[int]:
     """Length minus one of each run of equal consecutive bits.
 
     Round-trips with rle2bits only on canonical bit lists, i.e. those
-    ending in 1 (or empty), which is what to_rbits0 produces.
+    ending in 1 (or empty), which is what to_rbits0 produces.  Items are
+    not checked to be bits: any equal neighbours form a run, so
+    bits2rle([5, 5, 7]) == [1, 0].
     """
     return [sum(1 for _ in g) - 1 for _, g in groupby(bs)]
 

@@ -347,6 +347,9 @@ NON_NATURAL_CALLS = {
     "to_tuple(2.0, 6)": (TypeError, lambda: to_tuple(2.0, 6)),
     "nth2perm((True, 0))": (TypeError, lambda: nth2perm((True, 0))),
     "nth2perm((2.0, 1))": (TypeError, lambda: nth2perm((2.0, 1))),
+    # a negative size is refused as such, not by math.factorial or as a rank overflow
+    "nth2perm((-1, 0))": (ValueError, lambda: nth2perm((-1, 0))),
+    "nth2perm((-5, 0))": (ValueError, lambda: nth2perm((-5, 0))),
     "to_base(10.0, 5)": (TypeError, lambda: to_base(10.0, 5)),
     "to_base(True, 5)": (TypeError, lambda: to_base(True, 5)),
     "from_base(10.0, [1])": (TypeError, lambda: from_base(10.0, [1])),
@@ -363,6 +366,12 @@ def test_bool_or_non_int_input_raises(call):
     error, run = NON_NATURAL_CALLS[call]
     with pytest.raises(error):
         run()
+
+
+@pytest.mark.parametrize("size", (-1, -5))
+def test_nth2perm_refuses_a_negative_size_by_name(size):
+    with pytest.raises(ValueError, match=f"^permutation size must be a natural, got {size}$"):
+        nth2perm((size, 0))
 
 
 @pytest.mark.parametrize("m", NEGATIVES)

@@ -255,7 +255,7 @@ def test_broken_pipe_is_quiet(monkeypatch):
 
 
 def test_sized_perm_refuses_a_huge_rank_by_its_bit_length(capsys):
-    # a 0x rank has no digit limit, but its 19729 decimal digits cannot print
+    # a 0x rank has no digit limit; the error names a rank this big by its bit length
     code, out, err = run_cli(capsys, "decode", "--codec", "perm", "--sized",
                              "3 0x" + "f" * 16384)
     assert (code, out) == (2, "")
