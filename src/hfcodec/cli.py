@@ -29,8 +29,6 @@ class UsageError(ValueError):
 
 # ASCII digits only: int() alone also takes signs, underscores and other digits
 _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
-# a list as machines write it; anything else is read token by token for its message
-_DECIMAL_LIST = re.compile(r"[0-9]++(?:,[0-9]++)*+")
 
 # Decimals past the interpreter's int/str digit limit (4300 digits by
 # default) are cut into chunks of _CHUNK digits, the lowest limit the
@@ -130,13 +128,7 @@ def _parse_nat_list(text: str) -> list[int]:
     inner = s[1:-1].strip()
     if not inner:
         return []
-    tokens = inner.split(",")
-    if _DECIMAL_LIST.fullmatch(inner):
-        try:
-            return list(map(int, tokens))
-        except ValueError:  # a token past the digit limit
-            pass
-    return [_parse_natural(tok) for tok in tokens]
+    return [_parse_natural(tok) for tok in inner.split(",")]
 
 
 def _depth_limit() -> int:

@@ -1,4 +1,4 @@
-"""Decimals past the interpreter's int/str digit limit, and one-pass lists.
+"""Decimals past the interpreter's int/str digit limit.
 
 The CLI prints and reads decimals of up to cli._DECIMAL_BITS bits in
 chunks that each stay below the limit, and refuses longer ones with exit
@@ -8,7 +8,6 @@ for that one call and restored after it.
 
 import random
 import sys
-import time
 from contextlib import contextmanager
 
 import pytest
@@ -100,17 +99,15 @@ def test_encode_refuses_a_result_past_the_budget(capsys):
     assert f"a {BUDGET + 1}-bit result" in err
 
 
-def test_a_million_digit_argument_is_refused_fast(capsys):
-    text = "9" * 10 ** 6
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "decode", "--codec", "set", text)
-        best = min(best, time.perf_counter() - start)
-        assert (code, out) == (2, "")
-        assert err == (f"hfcodec: a 1000000-digit input is past the {BUDGET}-bit "
-                       "budget for decimals; write it in 0x hex\n")
-    assert best < 0.010, best
+def test_a_million_digit_argument_is_refused_before_any_conversion(capsys, monkeypatch):
+    def converted(s, j):
+        raise AssertionError(f"converted {len(s)} digits before refusing")
+
+    monkeypatch.setattr(cli, "_chunked_int", converted)
+    code, out, err = run_cli(capsys, "decode", "--codec", "set", "9" * 10 ** 6)
+    assert (code, out) == (2, "")
+    assert err == (f"hfcodec: a 1000000-digit input is past the {BUDGET}-bit "
+                   "budget for decimals; write it in 0x hex\n")
 
 
 def test_the_budget_applies_only_where_the_limit_refuses(capsys):
@@ -164,22 +161,11 @@ def test_sized_rank_and_decimal_format_print_past_the_limit(capsys):
     assert (code, out, err) == (0, f"3000 {unlimited_str(n)}\n", "")
 
 
-# --- one-pass lists against the per-token path ---------------------------------
+# --- lists with long tokens ---------------------------------------------------
 
 LIST_PIECES = ["0", "7", "42", "007", "4095", "0x1f", "0X2A", " 12", "3 ", " 5 ",
                "+1", "-3", "1_0", "1.0", "١٢", "²", "", "1 0", "\t4",
                "9" * 5000, "1" + "0" * 4300, "0" * 4400 + "8"]
-
-
-def per_token(text):
-    """The list reader with no one-pass branch: each token through _parse_natural."""
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise cli.UsageError(f"expected a bracketed list like [1,0,2], got {text!r}")
-    inner = s[1:-1].strip()
-    if not inner:
-        return []
-    return [cli._parse_natural(tok) for tok in inner.split(",")]
 
 
 def outcome(read, text):
@@ -200,17 +186,22 @@ def list_corpus():
         yield "[" + ",".join(tokens) + "]"
 
 
+def unlimited_outcome(text):
+    with digit_limit(0):
+        return outcome(cli._parse_nat_list, text)
+
+
 @pytest.mark.parametrize("limit", [sys.int_info.default_max_str_digits,
                                    sys.int_info.str_digits_check_threshold])
-def test_one_pass_list_reads_like_the_per_token_path(limit):
+def test_lists_read_alike_under_any_digit_limit(limit):
     with digit_limit(limit):
         for text in list_corpus():
-            assert outcome(cli._parse_nat_list, text) == outcome(per_token, text), text[:60]
+            assert outcome(cli._parse_nat_list, text) == unlimited_outcome(text), text[:60]
 
 
 def test_list_errors_keep_their_exit_code_and_message(capsys):
     for text in list_corpus():
-        expected = outcome(per_token, text)
+        expected = unlimited_outcome(text)
         if isinstance(expected, list) and max(expected, default=0) > 4095:
             continue  # fun2nat of a 5000-digit value would not fit in memory
         code, out, err = run_cli(capsys, "encode", "--codec", "fun", text)
