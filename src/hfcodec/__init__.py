@@ -101,9 +101,17 @@ from .hftree import (
     to_dot,
     unrank,
 )
-from .selfcheck import run_selfcheck
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # selfcheck and the codec table load on first use, not at start-up
+    if name == "run_selfcheck":
+        from .selfcheck import run_selfcheck
+        return run_selfcheck
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DigitList", "to_base", "from_base", "to_rbits", "from_rbits", "to_rbits0",

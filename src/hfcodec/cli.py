@@ -17,7 +17,7 @@ import sys
 from functools import partial
 from typing import Callable, Sequence
 
-from . import hftree, pairing, permcodec, selfcheck, setfun
+from . import hftree, permcodec, selfcheck, table
 from .natbits import _int_text
 
 _DEFAULT_DEPTH_LIMIT = 1_000_000
@@ -107,6 +107,13 @@ def _chunked_int(s: str, j: int) -> int:
     return _chunked_int(s[:-w], j - 1) * _pow10(j) + _chunked_int(s[-w:], j - 1)
 
 
+def _quote(text: str) -> str:
+    """text quoted for an error message: whole up to 40 characters, else its first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _parse_natural(text: str) -> int:
     # decimal skips the regex: lists parse one short token at a time;
     # bytes.isdigit scans a long token ~10x faster than str.isdigit
@@ -117,18 +124,26 @@ def _parse_natural(text: str) -> int:
         except ValueError:  # past the digit limit
             return _big_int(s)
     if not _HEX.fullmatch(s):
-        raise UsageError(f"not a natural number: {text!r}")
+        raise UsageError(f"not a natural number: {_quote(text)}")
     return int(s, 16)  # base 16 takes the 0x prefix
 
 
 def _parse_nat_list(text: str) -> list[int]:
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise UsageError(f"expected a bracketed list like [1,0,2], got {text!r}")
+        raise UsageError(f"expected a bracketed list like [1,0,2], got {_quote(text)}")
     inner = s[1:-1].strip()
     if not inner:
         return []
     return [_parse_natural(tok) for tok in inner.split(",")]
+
+
+def _natural_arg(text: str) -> int:
+    """_parse_natural for argparse, which prints an ArgumentTypeError's own message."""
+    try:
+        return _parse_natural(text)
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _depth_limit() -> int:
@@ -153,54 +168,31 @@ def _format_list(values: Sequence[int]) -> str:
 
 def _check_flags(args: argparse.Namespace) -> None:
     codec = args.codec
-    if args.ulimit and codec not in hftree.TREE_CODECS:
+    flat = table.FLAT.get(codec)  # None for a tree codec
+    if args.ulimit and flat is not None:
         raise UsageError(f"--ulimit applies to tree codecs only, not {codec!r}")
-    if args.arity is not None and codec != "tuple":
+    takes_arity = flat is not None and flat.arities is not None
+    if args.arity is not None and not takes_arity:
         raise UsageError("--arity applies to the tuple codec only")
     if args.sized and codec != "perm":
         raise UsageError("--sized applies to the perm codec only")
-    if codec == "tuple" and args.arity is None and args.command != "encode":
+    if takes_arity and args.arity is None and args.command != "encode":
         raise UsageError("the tuple codec needs --arity")
 
 
 def _resolve_format(codec: str, fmt: str | None, command: str) -> str:
     if fmt is None:
-        fmt = "tree" if codec in hftree.TREE_CODECS else "list"
-    if fmt in ("show", "tree", "dot") and codec not in hftree.TREE_CODECS:
+        fmt = "tree" if codec in table.TREE else "list"
+    if fmt in ("show", "tree", "dot") and codec not in table.TREE:
         raise UsageError(f"format {fmt!r} needs a tree codec, not {codec!r}")
-    if fmt == "list" and codec in hftree.TREE_CODECS:
+    if fmt == "list" and codec in table.TREE:
         raise UsageError(f"format 'list' needs a flat codec, not {codec!r}")
     if fmt == "dot" and command == "enumerate":
         raise UsageError("format 'dot' is multi-line and cannot be streamed")
     return fmt
 
 
-def _pair_encoder(name: str, pair: Callable[[int, int], int]) -> Callable[[list[int]], int]:
-    def encode(values: list[int]) -> int:
-        if len(values) != 2:
-            raise UsageError(f"{name} expects a pair [x,y], got {len(values)} values")
-        return pair(*values)
-    return encode
-
-
-# every flat codec by its CLI name: (decode, encode); tuple's decode takes --arity first
-_FLAT: dict[str, tuple[Callable[..., Sequence[int]], Callable[[list[int]], int]]] = {
-    "set": (setfun.nat2set, setfun.set2nat),
-    "fun": (setfun.nat2fun, setfun.fun2nat),
-    "ftuple": (pairing.nat2ftuple, pairing.ftuple2nat),
-    "rle": (setfun.nat2rle, setfun.rle2nat),
-    "perm": (permcodec.nat2perm, permcodec.perm2nat),
-    "factoradic-r": (permcodec.fr, permcodec.rf),
-    "factoradic-l": (permcodec.fl, permcodec.lf),
-    "pair-cantor": (pairing.cantor_unpair,
-                    _pair_encoder("pair-cantor", pairing.cantor_pair)),
-    "pair-pepis": (pairing.pepis_unpair,
-                   _pair_encoder("pair-pepis", pairing.pepis_pair)),
-    "pair-bitmerge": (pairing.bitmerge_unpair,
-                      _pair_encoder("pair-bitmerge", lambda x, y: pairing.bitmerge_pair((x, y)))),
-    "tuple": (pairing.to_tuple, pairing.from_tuple),
-}
-CODEC_NAMES = (*_FLAT, *hftree.TREE_CODECS)
+CODEC_NAMES = (*table.FLAT, *table.TREE)
 
 
 def _decoder(args: argparse.Namespace, fmt: str) -> Callable[[int], str]:
@@ -210,16 +202,13 @@ def _decoder(args: argparse.Namespace, fmt: str) -> Callable[[int], str]:
     """
     if fmt == "decimal":
         return _decimal
-    make = hftree.TREE_CODECS.get(args.codec)
-    if make is None:
-        decode = _FLAT[args.codec][0]
-        if args.arity is not None:  # _check_flags allows --arity on tuple only
-            decode = partial(decode, args.arity)
+    row = table.TREE.get(args.codec)
+    if row is None:
+        decode = table.FLAT[args.codec].decoder(args.arity)
         return lambda n: _format_list(decode(n))
-    codec, max_depth = make(args.ulimit), _depth_limit()
-    style = hftree.SET_STYLE if args.codec == "hfs" else hftree.FUN_STYLE
+    codec, max_depth = row.make(args.ulimit), _depth_limit()
     text = {"tree": hftree.serialize, "dot": hftree.to_dot,
-            "show": partial(hftree.render, style, args.ulimit)}[fmt]
+            "show": partial(hftree.render, row.style, args.ulimit)}[fmt]
     return lambda n: text(hftree.unrank(codec, n, max_depth=max_depth))
 
 
@@ -231,7 +220,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             raise UsageError(f"--sized prints a permutation list, not format {fmt!r}")
         parts = args.value.split()
         if len(parts) != 2:
-            raise UsageError(f"--sized expects 'SIZE RANK', got {args.value!r}")
+            raise UsageError(f"--sized expects 'SIZE RANK', got {_quote(args.value)}")
         size, rank_ = map(_parse_natural, parts)
         print(_format_list(permcodec.nth2perm((size, rank_))))
         return 0
@@ -242,10 +231,10 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     _check_flags(args)
-    make = hftree.TREE_CODECS.get(args.codec)
-    if make is not None:
+    row = table.TREE.get(args.codec)
+    if row is not None:
         tree = hftree.deserialize(args.structure, max_depth=_depth_limit())
-        print(_decimal(hftree.rank(make(args.ulimit), tree)))
+        print(_decimal(hftree.rank(row.make(args.ulimit), tree)))
         return 0
     values = _parse_nat_list(args.structure)
     if args.sized:
@@ -254,7 +243,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         return 0
     if args.arity is not None and args.arity != len(values):
         raise UsageError(f"--arity {_int_text(args.arity)} does not match {len(values)} values")
-    print(_decimal(_FLAT[args.codec][1](values)))
+    print(_decimal(table.FLAT[args.codec].encode(values)))
     return 0
 
 
@@ -283,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--codec", required=True, choices=CODEC_NAMES,
                        metavar="NAME",
                        help="one of: " + ", ".join(CODEC_NAMES))
-        p.add_argument("--ulimit", type=_parse_natural, default=0,
+        p.add_argument("--ulimit", type=_natural_arg, default=0,
                        help="atom bound for tree codecs (default 0)")
-        p.add_argument("--arity", type=_parse_natural, default=None,
+        p.add_argument("--arity", type=_natural_arg, default=None,
                        help="component count for the tuple codec")
         if with_format:
             p.add_argument("--format", default=None,
@@ -310,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="decode a run of consecutive numbers")
     add_codec_flags(p, with_format=True)
-    p.add_argument("start", type=_parse_natural, help="first number to decode")
-    p.add_argument("count", type=_parse_natural, help="how many lines to print")
+    p.add_argument("start", type=_natural_arg, help="first number to decode")
+    p.add_argument("count", type=_natural_arg, help="how many lines to print")
     p.set_defaults(func=_cmd_enumerate, sized=False)
 
     p = sub.add_parser("show", help="decode and render readably (tree codecs)")
@@ -325,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decode, sized=False, format="dot")
 
     p = sub.add_parser("selfcheck", help="run every codec law; exit 1 on failure")
-    p.add_argument("max_n", nargs="?", type=_parse_natural, default=1000,
+    p.add_argument("max_n", nargs="?", type=_natural_arg, default=1000,
                    help="exhaustive range bound (default 1000)")
-    p.add_argument("seed", nargs="?", type=_parse_natural, default=13,
+    p.add_argument("seed", nargs="?", type=_natural_arg, default=13,
                    help="seed for the random big-value trials (default 13)")
     p.set_defaults(func=_cmd_selfcheck)
 

@@ -162,14 +162,13 @@ def codec_hfp(ulimit: int = 0) -> Codec:
     return Codec("hfp", ulimit, permcodec.nat2perm, permcodec.perm2nat)
 
 
-# every stock tree codec by its CLI name; the CLI and selfcheck read this table
-TREE_CODECS: dict[str, Callable[[int], Codec]] = {
-    "hfs": codec_hfs,
-    "hff": codec_hff,
-    "hff1": codec_hff1,
-    "hff2": codec_hff2,
-    "hfp": codec_hfp,
-}
+def __getattr__(name: str) -> dict[str, Callable[[int], Codec]]:
+    # TREE_CODECS, every stock tree codec's maker by its CLI name, is read
+    # off the codec table on each access: hfcodec.table imports this module
+    if name == "TREE_CODECS":
+        from .table import TREE
+        return {row.name: row.make for row in TREE.values()}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # hash(m) is m mod 2**61 - 1, so big naturals with a pattern collide in bulk

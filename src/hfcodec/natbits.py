@@ -93,6 +93,15 @@ def _int_text(n: int) -> str:
         return f"<{'negative ' if n < 0 else ''}{n.bit_length()}-bit integer>"
 
 
+def _list_text(s: Sequence[object]) -> str:
+    """s as list(s) prints, for an error message: whole up to 40 characters,
+    else its first 40 and its length.  Ints past the int/str limit print by
+    bit length."""
+    # 41 entries print past 40 characters, so s[:41] decides
+    text = "[" + ", ".join(_int_text(x) if type(x) is int else repr(x) for x in s[:41]) + "]"
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(s)} entries)"
+
+
 def _check_int(x: int, what: str) -> None:
     """Refuse an argument that must be an int (a base, arity, size, ulimit or atom value)."""
     if type(x) is not int:  # not isinstance: a bool is an int

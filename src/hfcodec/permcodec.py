@@ -24,7 +24,7 @@ from math import factorial, lgamma, log
 from operator import mul
 from typing import Sequence
 
-from .natbits import _check_int, _check_natural, _int_text, _radix_join, _radix_split
+from .natbits import _check_int, _check_natural, _int_text, _list_text, _radix_join, _radix_split
 
 _LN2 = log(2)
 # 0!, 1!, ..., 128! and sf(0), sf(1), ..., sf(129): fr and to_sf size
@@ -90,7 +90,7 @@ def perm2lehmer(ps: Sequence[int]) -> list[int]:
         # there is out of range or already used
         i = bisect_left(pool, v) if type(v) is int else len(pool)
         if i == len(pool) or pool[i] != v:
-            raise ValueError(f"not a permutation of 0..{len(ps) - 1}: {list(ps)}")
+            raise ValueError(f"not a permutation of 0..{len(ps) - 1}: {_list_text(ps)}")
         out.append(i)
         pool.pop(i)
     return out

@@ -5,15 +5,22 @@ raises AssertionError (or anything else) on violation.  run_selfcheck
 executes all of them independently and reports one PASS/FAIL line per
 law, so a single broken bijection names itself instead of hiding behind
 an unrelated traceback.
+
+The round-trip laws come from the codec table, hfcodec.table: each flat
+row's law is the one generic round_trips, run after that law's goldens,
+with the row's structural checks from _CHECKS, and each tree row's law
+unranks and ranks through the row's maker.  LAWS lists them in a fixed
+order, so the report reads the same on every run.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import permutations
-from typing import Callable
+from math import factorial
+from typing import Callable, Sequence
 
-from . import hftree, natbits, pairing, permcodec, setfun
+from . import hftree, natbits, pairing, permcodec, setfun, table
 
 _RANDOM_TRIALS = 20
 _RANDOM_BITS = 256
@@ -54,137 +61,68 @@ def _law_bitcount_vs_search(max_n: int, rng: random.Random) -> None:
     assert natbits.max_bitcount([1, 0, 2, 1, 3]) == 2
 
 
-def _law_cantor_pairing(max_n: int, rng: random.Random) -> None:
-    table = [pairing.cantor_pair(i, j) for i in range(4) for j in range(4)]
-    assert table == [0, 2, 5, 9, 1, 4, 8, 13, 3, 7, 12, 18, 6, 11, 17, 24]
-    for z in list(range(max_n + 1)) + _randoms(rng):
-        x, y = pairing.cantor_unpair(z)
-        assert pairing.cantor_pair(x, y) == z, z
-    for x in range(64):
-        for y in range(64):
-            assert pairing.cantor_unpair(pairing.cantor_pair(x, y)) == (x, y)
+def round_trips(row: table.FlatRow, stop: int, randoms: int, draws: int,
+                rng: random.Random) -> None:
+    """The round-trip law of one flat row, with the row's _CHECKS.
+
+    n -> x -> n over range(stop) and `randoms` random codes, at each of
+    the row's arities, then x -> n -> x over `draws` drawn structures.
+    """
+    check = _CHECKS.get(row.name, lambda n, x: True)
+    for k in row.arities or [None]:
+        decode = row.decoder(k)
+        for n in list(range(stop)) + _randoms(rng, randoms):
+            x = decode(n)
+            assert check(n, x) and row.encode(x) == n and k in (None, len(x)), (row.name, k, n)
+    for _ in range(draws):
+        x = row.draw(rng, _RANDOM_BITS)
+        assert row.decoder(len(x))(row.encode(x)) == x, (row.name, x)
 
 
-def _law_pepis_pairing(max_n: int, rng: random.Random) -> None:
-    table = [pairing.pepis_pair(i, j) for i in range(4) for j in range(4)]
-    assert table == [0, 2, 4, 6, 1, 5, 9, 13, 3, 11, 19, 27, 7, 23, 39, 55]
-    assert pairing.pepis_pair(1, 10) == 41
-    assert pairing.pepis_pair(10, 1) == 3071
-    for z in list(range(max_n + 1)) + _randoms(rng):
-        x, y = pairing.pepis_unpair(z)
-        assert pairing.pepis_pair(x, y) == z, z
-    for x in range(64):
-        for y in range(64):
-            assert pairing.pepis_unpair(pairing.pepis_pair(x, y)) == (x, y)
+def tree_round_trips(row: table.TreeRow, stop: int, randoms: int, rng: random.Random) -> None:
+    """n -> tree -> n over range(stop) and `randoms` random codes, at ulimits 0, 2 and 10."""
+    for u in (0, 2, 10):
+        codec = row.make(u)
+        for n in list(range(stop)) + _randoms(rng, randoms):
+            assert hftree.rank(codec, hftree.unrank(codec, n)) == n, (row.name, u, n)
 
 
-def _law_bitmerge_pairing(max_n: int, rng: random.Random) -> None:
-    assert pairing.bitmerge_pair((60, 26)) == 2008
-    assert pairing.bitmerge_unpair(2008) == (60, 26)
-    for z in list(range(max_n + 1)) + _randoms(rng):
-        p = pairing.bitmerge_unpair(z)
-        assert pairing.bitmerge_pair(p) == z, z
-        assert tuple(pairing.to_tuple(2, z)) == p, z
+# what else holds of each structure a flat row decodes
+_CHECKS: dict[str, Callable[[int, Sequence[int]], bool]] = {
+    "set": lambda n, s: all(a < b for a, b in zip(s, s[1:])) and len(s) == n.bit_count(),
+    "factoradic-r": lambda n, ds: all(d <= i for i, d in enumerate(ds)),
+    "factoradic-l": lambda n, ds: ds[::-1] == permcodec.fr(n),
+    "pair-bitmerge": lambda n, p: p == tuple(pairing.to_tuple(2, n)),
+}
+
+_Law = Callable[[int, random.Random], None]
 
 
-def _law_tuple_round_trip(max_n: int, rng: random.Random) -> None:
-    assert pairing.to_tuple(3, 42) == [2, 1, 2]
-    for k in range(1, 7):
-        for n in list(range(min(max_n, 1000) + 1)) + _randoms(rng, 5):
-            t = pairing.to_tuple(k, n)
-            assert len(t) == k
-            assert pairing.from_tuple(t) == n, (k, n)
-    for _ in range(_RANDOM_TRIALS):
-        t = [rng.getrandbits(64) for _ in range(rng.randint(1, 6))]
-        assert pairing.to_tuple(len(t), pairing.from_tuple(t)) == t, t
-
-
-def _law_ftuple_round_trip(max_n: int, rng: random.Random) -> None:
-    first = [pairing.nat2ftuple(n) for n in range(16)]
-    assert first == [[], [0, 0], [1], [0, 0, 0], [2], [1, 0], [3], [0, 0, 0, 0],
-                     [4], [0, 1], [5], [1, 0, 0], [6], [1, 1], [7], [0, 0, 0, 0, 0]]
-    assert pairing.ftuple2nat([1, 0, 2, 1, 3]) == 21295
-    for n in list(range(max_n + 1)) + _randoms(rng):
-        assert pairing.ftuple2nat(pairing.nat2ftuple(n)) == n, n
-    try:
-        pairing.ftuple2nat([0])
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("ftuple2nat([0]) must be rejected")
-
-
-def _law_set_round_trip(max_n: int, rng: random.Random) -> None:
-    assert setfun.set2nat([1, 3, 5]) == 42
-    assert setfun.set2nat([1, 2, 5, 7, 10]) == 1190
-    assert setfun.nat2set(2008) == [3, 4, 6, 7, 8, 9, 10]
-    for n in list(range(max_n + 1)) + _randoms(rng):
-        s = setfun.nat2set(n)
-        assert all(a < b for a, b in zip(s, s[1:])), n
-        assert setfun.set2nat(s) == n, n
-
-
-def _law_fun_round_trip(max_n: int, rng: random.Random) -> None:
-    assert setfun.fun2set([1, 0, 2, 1, 2]) == [1, 2, 5, 7, 10]
-    assert setfun.set2fun([1, 2, 5, 7, 10]) == [1, 0, 2, 1, 2]
-    assert setfun.nat2fun(2008) == [3, 0, 1, 0, 0, 0, 0]
-    assert setfun.fun2nat([3, 0, 1, 0, 0, 0, 0]) == 2008
-    for n in list(range(max_n + 1)) + _randoms(rng):
-        assert setfun.fun2nat(setfun.nat2fun(n)) == n, n
-    for _ in range(_RANDOM_TRIALS):
-        f = [rng.randint(0, 50) for _ in range(rng.randint(0, 12))]
-        assert setfun.nat2fun(setfun.fun2nat(f)) == f, f
-
-
-def _law_rle_round_trip(max_n: int, rng: random.Random) -> None:
-    assert setfun.bits2rle([0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1]) == [2, 1, 0, 4]
-    assert setfun.rle2nat([0, 0]) == 2
-    assert setfun.nat2rle(0) == []
-    for n in list(range(max_n + 1)) + _randoms(rng):
-        assert setfun.rle2nat(setfun.nat2rle(n)) == n, n
-    for _ in range(_RANDOM_TRIALS):
-        rs = [rng.randint(0, 6) for _ in range(rng.randint(0, 12))]
-        assert setfun.nat2rle(setfun.rle2nat(rs)) == rs, rs
-
-
-def _law_factoradic_round_trip(max_n: int, rng: random.Random) -> None:
-    assert permcodec.fr(42) == [0, 0, 0, 3, 1]
-    assert permcodec.fl(42) == [1, 3, 0, 0, 0]
-    for n in list(range(max_n + 1)) + _randoms(rng):
-        ds = permcodec.fr(n)
-        assert all(d <= i for i, d in enumerate(ds)), n
-        assert permcodec.rf(ds) == n, n
-        assert permcodec.lf(permcodec.fl(n)) == n, n
-
-
-def _law_perm_round_trip(max_n: int, rng: random.Random) -> None:
-    assert permcodec.nth2perm((5, 42)) == [1, 4, 0, 2, 3]
-    assert permcodec.perm2nth([1, 4, 0, 2, 3]) == (5, 42)
-    assert permcodec.perm2lehmer([1, 4, 0, 2, 3]) == [1, 3, 0, 0, 0]
-    assert permcodec.nat2perm(2008) == [1, 4, 3, 2, 0, 5, 6]
-    assert permcodec.perm2nat([1, 4, 3, 2, 0, 5, 6]) == 2008
-    assert (permcodec.sf(3), permcodec.sf(8)) == (4, 5914)
-    assert permcodec.to_sf(2008) == (7, 1134)
-    for k in range(5):
-        ranked = [tuple(permcodec.nth2perm((k, r)))
-                  for r in range(permcodec.sf(k + 1) - permcodec.sf(k))]
-        assert ranked == sorted(permutations(range(k))), k
-    for n in list(range(max_n + 1)) + _randoms(rng):
-        assert permcodec.perm2nat(permcodec.nat2perm(n)) == n, n
-    for _ in range(_RANDOM_TRIALS):
-        ps = list(range(rng.randint(0, 30)))
-        rng.shuffle(ps)
-        assert permcodec.nat2perm(permcodec.perm2nat(ps)) == ps, ps
-
-
-def _tree_codec_law(make: Callable[[int], hftree.Codec]):
+def _flat_law(names: Sequence[str], goldens: Callable[[], list[tuple[object, object]]],
+              cap: int | None = None, randoms: int = _RANDOM_TRIALS) -> _Law:
+    """The (got, want) pairs goldens() lists are equal, and each named flat
+    row passes round_trips up to max_n, or up to cap if that is lower."""
     def law(max_n: int, rng: random.Random) -> None:
-        for u in (0, 2, 10):
-            codec = make(u)
-            for n in list(range(min(max_n, 1000) + 1)) + _randoms(rng, 10):
-                t = hftree.unrank(codec, n)
-                assert hftree.rank(codec, t) == n, (codec.name, u, n)
+        for got, want in goldens():
+            assert got == want, (got, want)
+        for name in names:
+            round_trips(table.FLAT[name], min(max_n, cap or max_n) + 1, randoms,
+                        _RANDOM_TRIALS, rng)
     return law
+
+
+def _tree_law(name: str) -> _Law:
+    def law(max_n: int, rng: random.Random) -> None:
+        tree_round_trips(table.TREE[name], min(max_n, 1000) + 1, 10, rng)
+    return law
+
+
+def _refused(f: Callable[..., object], *args: object) -> bool:
+    try:
+        f(*args)
+    except ValueError:
+        return True
+    return False
 
 
 def _law_hfs_goldens(max_n: int, rng: random.Random) -> None:
@@ -206,30 +144,66 @@ def _law_render_goldens(max_n: int, rng: random.Random) -> None:
 
 def _law_serialize_round_trip(max_n: int, rng: random.Random) -> None:
     assert hftree.serialize(hftree.Forest((hftree.Atom(2), hftree.Forest()))) == "(a2 ())"
-    for make in hftree.TREE_CODECS.values():
-        for u in (0, 10):
-            codec = make(u)
-            for n in list(range(min(max_n, 300) + 1)) + _randoms(rng, 5):
+    for row in table.TREE.values():
+        for u in (0, 2, 10):
+            codec = row.make(u)
+            for n in list(range(min(max_n, 300) + 1)) + _randoms(rng, 10):
                 t = hftree.unrank(codec, n)
                 assert hftree.deserialize(hftree.serialize(t)) == t, (codec.name, u, n)
 
 
-LAWS: list[tuple[str, Callable[[int, random.Random], None]]] = [
+LAWS: list[tuple[str, _Law]] = [
     ("base-round-trip", _law_base_round_trip),
     ("maxbits-padding", _law_maxbits_padding),
     ("bitcount-vs-search", _law_bitcount_vs_search),
-    ("cantor-pairing", _law_cantor_pairing),
-    ("pepis-pairing", _law_pepis_pairing),
-    ("bitmerge-pairing", _law_bitmerge_pairing),
-    ("tuple-round-trip", _law_tuple_round_trip),
-    ("ftuple-round-trip", _law_ftuple_round_trip),
-    ("set-round-trip", _law_set_round_trip),
-    ("fun-round-trip", _law_fun_round_trip),
-    ("rle-round-trip", _law_rle_round_trip),
-    ("factoradic-round-trip", _law_factoradic_round_trip),
-    ("perm-round-trip", _law_perm_round_trip),
-    *((f"{name}-round-trip", _tree_codec_law(make))
-      for name, make in hftree.TREE_CODECS.items()),
+    ("cantor-pairing", _flat_law(["pair-cantor"], lambda: [
+        ([pairing.cantor_pair(i, j) for i in range(4) for j in range(4)],
+         [0, 2, 5, 9, 1, 4, 8, 13, 3, 7, 12, 18, 6, 11, 17, 24])])),
+    ("pepis-pairing", _flat_law(["pair-pepis"], lambda: [
+        ([pairing.pepis_pair(i, j) for i in range(4) for j in range(4)],
+         [0, 2, 4, 6, 1, 5, 9, 13, 3, 11, 19, 27, 7, 23, 39, 55]),
+        (pairing.pepis_pair(1, 10), 41),
+        (pairing.pepis_pair(10, 1), 3071)])),
+    ("bitmerge-pairing", _flat_law(["pair-bitmerge"], lambda: [
+        (pairing.bitmerge_pair((60, 26)), 2008),
+        (pairing.bitmerge_unpair(2008), (60, 26))])),
+    ("tuple-round-trip", _flat_law(["tuple"], lambda: [
+        (pairing.to_tuple(3, 42), [2, 1, 2])], cap=1000, randoms=5)),
+    ("ftuple-round-trip", _flat_law(["ftuple"], lambda: [
+        ([pairing.nat2ftuple(n) for n in range(16)],
+         [[], [0, 0], [1], [0, 0, 0], [2], [1, 0], [3], [0, 0, 0, 0],
+          [4], [0, 1], [5], [1, 0, 0], [6], [1, 1], [7], [0, 0, 0, 0, 0]]),
+        (pairing.ftuple2nat([1, 0, 2, 1, 3]), 21295),
+        (_refused(pairing.ftuple2nat, [0]), True)])),
+    ("set-round-trip", _flat_law(["set"], lambda: [
+        (setfun.set2nat([1, 3, 5]), 42),
+        (setfun.set2nat([1, 2, 5, 7, 10]), 1190),
+        (setfun.nat2set(2008), [3, 4, 6, 7, 8, 9, 10])])),
+    ("fun-round-trip", _flat_law(["fun"], lambda: [
+        (setfun.fun2set([1, 0, 2, 1, 2]), [1, 2, 5, 7, 10]),
+        (setfun.set2fun([1, 2, 5, 7, 10]), [1, 0, 2, 1, 2]),
+        (setfun.nat2fun(2008), [3, 0, 1, 0, 0, 0, 0]),
+        (setfun.fun2nat([3, 0, 1, 0, 0, 0, 0]), 2008),
+        (setfun.nat2fun(0), [])])),
+    ("rle-round-trip", _flat_law(["rle"], lambda: [
+        (setfun.bits2rle([0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1]), [2, 1, 0, 4]),
+        (setfun.rle2nat([0, 0]), 2),
+        (setfun.nat2rle(0), [])])),
+    ("factoradic-round-trip", _flat_law(["factoradic-r", "factoradic-l"], lambda: [
+        (permcodec.fr(42), [0, 0, 0, 3, 1]),
+        (permcodec.fl(42), [1, 3, 0, 0, 0])])),
+    ("perm-round-trip", _flat_law(["perm"], lambda: [
+        (permcodec.nth2perm((5, 42)), [1, 4, 0, 2, 3]),
+        (permcodec.perm2nth([1, 4, 0, 2, 3]), (5, 42)),
+        (permcodec.perm2lehmer([1, 4, 0, 2, 3]), [1, 3, 0, 0, 0]),
+        (permcodec.nat2perm(2008), [1, 4, 3, 2, 0, 5, 6]),
+        (permcodec.perm2nat([1, 4, 3, 2, 0, 5, 6]), 2008),
+        ((permcodec.sf(3), permcodec.sf(8)), (4, 5914)),
+        (permcodec.to_sf(2008), (7, 1134)),
+        # nth2perm ranks in lexicographic order
+        ([tuple(permcodec.nth2perm((k, r))) for k in range(5) for r in range(factorial(k))],
+         [p for k in range(5) for p in permutations(range(k))])])),
+    *((f"{name}-round-trip", _tree_law(name)) for name in table.TREE),
     ("hfs-goldens", _law_hfs_goldens),
     ("render-goldens", _law_render_goldens),
     ("serialize-round-trip", _law_serialize_round_trip),

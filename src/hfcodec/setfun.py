@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import compress, count, groupby
 from typing import Sequence
 
-from .natbits import _CHAR_VALUES, _LOOP_BITS, _check_natural, _rbitstr
+from .natbits import _CHAR_VALUES, _LOOP_BITS, _check_natural, _list_text, _rbitstr
 
 
 def _check_set(s: Sequence[int]) -> None:
@@ -25,10 +25,10 @@ def _check_set(s: Sequence[int]) -> None:
         if type(e) is not int:
             raise TypeError(f"set elements must be ints, got {type(e).__name__}")
         if e <= prev:
-            raise ValueError(f"set elements must be strictly increasing, got {list(s)}")
+            raise ValueError(f"set elements must be strictly increasing, got {_list_text(s)}")
         prev = e
     if s and s[0] < 0:
-        raise ValueError(f"set elements must be naturals, got {list(s)}")
+        raise ValueError(f"set elements must be naturals, got {_list_text(s)}")
 
 
 def set2nat(s: Sequence[int]) -> int:

@@ -10,17 +10,12 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from functools import partial
 from itertools import permutations
 
-from hfcodec import cli
+from hfcodec import cli, table
 from hfcodec.hftree import (
     Atom,
     Forest,
-    codec_hff,
-    codec_hff1,
-    codec_hff2,
-    codec_hfp,
     codec_hfs,
     deserialize,
     fun_show,
@@ -49,7 +44,6 @@ from hfcodec.pairing import (
     ftuple2nat,
     nat2ftuple,
     pepis_pair,
-    pepis_unpair,
     to_tuple,
 )
 from hfcodec.permcodec import (
@@ -68,14 +62,9 @@ from hfcodec.setfun import (
     fun2nat,
     fun2set,
     nat2fun,
-    nat2rle,
-    nat2set,
-    rle2nat,
     set2fun,
-    set2nat,
 )
-
-TREE_MAKERS = (codec_hfs, codec_hff, codec_hff1, codec_hff2, codec_hfp)
+from hfcodec.selfcheck import round_trips, tree_round_trips
 
 
 @contextmanager
@@ -173,30 +162,11 @@ def test_criterion_1_goldens():
 
 @_criterion(2, "round-trip laws, exhaustive + 200 random 256-bit values per codec, < 60 s")
 def test_criterion_2_round_trips():
-    flat = [
-        ("set", nat2set, set2nat),
-        ("fun", nat2fun, fun2nat),
-        ("ftuple", nat2ftuple, ftuple2nat),
-        ("rle", nat2rle, rle2nat),
-        ("perm", nat2perm, perm2nat),
-        ("fr", fr, rf),
-        ("fl", fl, lf),
-        ("cantor", cantor_unpair, lambda p: cantor_pair(*p)),
-        ("pepis", pepis_unpair, lambda p: pepis_pair(*p)),
-        ("bitmerge", bitmerge_unpair, bitmerge_pair),
-    ] + [(f"tuple{k}", partial(to_tuple, k), from_tuple) for k in (1, 2, 3, 5)]
     with _budget(60.0):
-        for name, decode, encode in flat:
-            rng = random.Random(13)
-            ns = list(range(10_001)) + [rng.getrandbits(256) for _ in range(200)]
-            for n in ns:
-                assert encode(decode(n)) == n, (name, n)
-        for make in TREE_MAKERS:
-            codec = make(0)
-            rng = random.Random(13)
-            ns = list(range(2001)) + [rng.getrandbits(256) for _ in range(200)]
-            for n in ns:
-                assert rank(codec, unrank(codec, n)) == n, (codec.name, n)
+        for row in table.FLAT.values():
+            round_trips(row, 10_001, 200, 300, random.Random(13))
+        for row in table.TREE.values():
+            tree_round_trips(row, 2001, 200, random.Random(13))
 
 
 @_criterion(3, "independent oracle equivalences")
@@ -251,8 +221,8 @@ def test_criterion_4_invariants():
 
     trees = 0
     for ulimit in (0, 2, 10):
-        for make in TREE_MAKERS:
-            codec = make(ulimit)
+        for row in table.TREE.values():
+            codec = row.make(ulimit)
             for n in range(67):
                 t = unrank(codec, n)
                 trees += 1
@@ -273,7 +243,7 @@ def test_criterion_5_scale():
     rng = random.Random(13)
     n = rng.getrandbits(4096) | (1 << 4095)
     with _budget(10.0):
-        for make in TREE_MAKERS:
-            codec = make(0)
+        for row in table.TREE.values():
+            codec = row.make(0)
             assert rank(codec, unrank(codec, n)) == n, codec.name
     assert cli.main(["selfcheck"]) == 0

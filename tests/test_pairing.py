@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from hfcodec.natbits import from_rbits, to_base, to_maxbits
@@ -10,23 +8,17 @@ from hfcodec.pairing import (
     cantor_unpair,
     from_tuple,
     ftuple2nat,
-    nat2ftuple,
     pepis_pair,
     pepis_unpair,
     to_tuple,
 )
 
-CANTOR_TABLE = [0, 2, 5, 9, 1, 4, 8, 13, 3, 7, 12, 18, 6, 11, 17, 24]
 PEPIS_TABLE = [0, 2, 4, 6, 1, 5, 9, 13, 3, 11, 19, 27, 7, 23, 39, 55]
 
 
 def exponents(n: int) -> list[int]:
     # bit positions read off a binary string, not bit arithmetic
     return [i for i, c in enumerate(bin(n)[2:][::-1]) if c == "1"]
-
-
-def test_cantor_table():
-    assert [cantor_pair(i, j) for i in range(4) for j in range(4)] == CANTOR_TABLE
 
 
 def test_cantor_unpair_golden():
@@ -37,31 +29,23 @@ def test_cantor_unpair_golden():
 def test_cantor_unpair_against_brute_force():
     # every code below 2000 must come from exactly one pair
     inverse = {}
-    for x in range(80):
-        for y in range(80):
+    for x in range(100):
+        for y in range(100):
             z = cantor_pair(x, y)
+            assert cantor_unpair(z) == (x, y)
             if z < 2000:
                 assert z not in inverse
                 inverse[z] = (x, y)
     assert sorted(inverse) == list(range(2000))
-    for z, p in inverse.items():
-        assert cantor_unpair(z) == p
-
-
-def test_cantor_round_trips():
-    rng = random.Random(13)
-    for z in list(range(5000)) + [rng.getrandbits(256) for _ in range(100)]:
-        x, y = cantor_unpair(z)
-        assert cantor_pair(x, y) == z
-    for x in range(100):
-        for y in range(100):
-            assert cantor_unpair(cantor_pair(x, y)) == (x, y)
 
 
 def test_pepis_table_and_golden():
     assert [pepis_pair(i, j) for i in range(4) for j in range(4)] == PEPIS_TABLE
     assert pepis_pair(1, 10) == 41
     assert pepis_pair(10, 1) == 3071
+    for x in range(64):
+        for y in range(64):
+            assert pepis_unpair(pepis_pair(x, y)) == (x, y)
 
 
 def test_pepis_first_component_is_dyadic_valuation():
@@ -77,16 +61,6 @@ def test_pepis_first_component_is_dyadic_valuation():
         a, b = pepis_unpair(n)
         assert a == nu2(n + 1)
         assert n + 1 == (2 * b + 1) << a
-
-
-def test_pepis_round_trips():
-    rng = random.Random(13)
-    for z in list(range(5000)) + [rng.getrandbits(256) for _ in range(100)]:
-        x, y = pepis_unpair(z)
-        assert pepis_pair(x, y) == z
-    for x in range(64):
-        for y in range(64):
-            assert pepis_unpair(pepis_pair(x, y)) == (x, y)
 
 
 def test_bitmerge_golden():
@@ -107,19 +81,6 @@ def test_bitmerge_against_exponent_partition():
             assert bitmerge_unpair(z) == (x, y)
 
 
-def test_bitmerge_round_trips():
-    rng = random.Random(13)
-    for z in list(range(5000)) + [rng.getrandbits(256) for _ in range(100)]:
-        assert bitmerge_pair(bitmerge_unpair(z)) == z
-
-
-def test_to_tuple_golden():
-    assert to_tuple(3, 42) == [2, 1, 2]
-    assert from_tuple([2, 1, 2]) == 42
-    assert from_tuple([60, 26]) == 2008
-    assert to_tuple(4, 0) == [0, 0, 0, 0]
-
-
 def test_to_tuple_against_transpose():
     def tuple_oracle(k: int, n: int) -> list[int]:
         # the bit-matrix route: base-2^k digits widened to k columns
@@ -131,54 +92,11 @@ def test_to_tuple_against_transpose():
             assert to_tuple(k, n) == tuple_oracle(k, n)
 
 
-def test_tuple_round_trips():
-    rng = random.Random(13)
-    for k in range(1, 9):
-        for n in list(range(2000)) + [rng.getrandbits(256) for _ in range(25)]:
-            t = to_tuple(k, n)
-            assert len(t) == k
-            assert from_tuple(t) == n
-    for _ in range(200):
-        t = [rng.getrandbits(rng.randint(0, 96)) for _ in range(rng.randint(1, 8))]
-        assert to_tuple(len(t), from_tuple(t)) == t
-
-
-def test_to_tuple_at_two_is_bitmerge_unpair():
-    for n in range(10_001):
-        assert tuple(to_tuple(2, n)) == bitmerge_unpair(n)
-
-
 def test_tuple_arity_errors():
     with pytest.raises(ValueError):
         to_tuple(0, 5)
     with pytest.raises(ValueError):
         from_tuple([])
-
-
-def test_ftuple_first_sixteen():
-    expected = [[], [0, 0], [1], [0, 0, 0], [2], [1, 0], [3], [0, 0, 0, 0],
-                [4], [0, 1], [5], [1, 0, 0], [6], [1, 1], [7], [0, 0, 0, 0, 0]]
-    assert [nat2ftuple(n) for n in range(16)] == expected
-    for n, ns in enumerate(expected):
-        if ns:
-            assert ftuple2nat(ns) == n
-
-
-def test_ftuple_golden():
-    assert ftuple2nat([1, 0, 2, 1, 3]) == 21295
-    assert nat2ftuple(21295) == [1, 0, 2, 1, 3]
-    assert ftuple2nat([]) == 0
-    assert ftuple2nat([0, 0]) == 1
-
-
-def test_ftuple_round_trips():
-    rng = random.Random(13)
-    for n in list(range(10_000)) + [rng.getrandbits(256) for _ in range(100)]:
-        assert ftuple2nat(nat2ftuple(n)) == n
-    for _ in range(200):
-        ns = [rng.getrandbits(rng.randint(0, 64)) for _ in range(rng.randint(0, 6))]
-        if ns != [0]:
-            assert nat2ftuple(ftuple2nat(ns)) == ns
 
 
 def test_ftuple_rejects_singleton_zero():

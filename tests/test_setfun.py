@@ -5,9 +5,7 @@ import pytest
 
 from hfcodec.setfun import (
     bits2rle,
-    fun2nat,
     fun2set,
-    nat2fun,
     nat2rle,
     nat2set,
     rle2bits,
@@ -17,29 +15,9 @@ from hfcodec.setfun import (
 )
 
 
-def test_set2nat_golden():
-    assert set2nat([1, 3, 5]) == 42
-    assert set2nat([1, 2, 5, 7, 10]) == 1190
-    assert set2nat([]) == 0
-    assert nat2set(2008) == [3, 4, 6, 7, 8, 9, 10]
-    assert nat2set(0) == []
-
-
 def test_nat2set_matches_binary_string():
     for n in range(5000):
         assert nat2set(n) == [i for i, c in enumerate(bin(n)[2:][::-1]) if c == "1"]
-
-
-def test_set_round_trips():
-    rng = random.Random(13)
-    for n in list(range(10_000)) + [rng.getrandbits(256) for _ in range(100)]:
-        s = nat2set(n)
-        assert all(a < b for a, b in zip(s, s[1:]))
-        assert len(s) == bin(n).count("1")
-        assert set2nat(s) == n
-    for _ in range(200):
-        s = sorted(rng.sample(range(300), rng.randint(0, 20)))
-        assert nat2set(set2nat(s)) == s
 
 
 def test_set2nat_powers_of_two():
@@ -75,18 +53,6 @@ def test_fun2set_is_shifted_prefix_sum():
         assert set2fun(got) == f
 
 
-def test_fun_round_trips():
-    rng = random.Random(13)
-    assert nat2fun(2008) == [3, 0, 1, 0, 0, 0, 0]
-    assert fun2nat([3, 0, 1, 0, 0, 0, 0]) == 2008
-    assert nat2fun(0) == []
-    for n in list(range(10_000)) + [rng.getrandbits(256) for _ in range(100)]:
-        assert fun2nat(nat2fun(n)) == n
-    for _ in range(200):
-        f = [rng.randint(0, 40) for _ in range(rng.randint(0, 12))]
-        assert nat2fun(fun2nat(f)) == f
-
-
 def test_bits2rle_golden():
     assert bits2rle([0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1]) == [2, 1, 0, 4]
     assert bits2rle([]) == []
@@ -105,15 +71,6 @@ def test_rle2bits_structure():
         assert bs[-1] == 1
         assert sum(bs_len + 1 for bs_len in rs) == len(bs)
         assert bits2rle(bs) == rs
-
-
-def test_rle_round_trips():
-    rng = random.Random(13)
-    for n in list(range(10_000)) + [rng.getrandbits(256) for _ in range(100)]:
-        assert rle2nat(nat2rle(n)) == n
-    for _ in range(300):
-        rs = [rng.randint(0, 6) for _ in range(rng.randint(0, 14))]
-        assert nat2rle(rle2nat(rs)) == rs
 
 
 def test_rle_rejects_negative_counts():
