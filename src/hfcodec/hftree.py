@@ -26,10 +26,12 @@ Five stock codecs are provided: hfs (hereditarily finite sets via the
 Ackermann encoding), hff (finite functions), hff1 (length-tagged
 tuples), hff2 (run lengths), and hfp (finite permutations).
 
-All tree walks here use explicit stacks, so trees thousands of levels
-deep decode, fold, print, and parse without touching the interpreter's
-recursion limit; deserialize recurses only into its group tokens, at
-most _GROUP_HEIGHT levels.
+No tree walk here recurses, so trees thousands of levels deep decode,
+fold, print, and parse without touching the interpreter's recursion
+limit: unrank expands codes level by level and then builds nodes in
+ascending code order, the other walks use explicit stacks, and
+deserialize recurses only into its group tokens, at most _GROUP_HEIGHT
+levels.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, count, islice
+from operator import invert
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import pairing, permcodec, setfun
@@ -187,10 +191,15 @@ def _code_key(m: int) -> int | tuple[int, int]:
 def unrank(codec: Codec, n: int, max_depth: int | None = None) -> Tree:
     """Decode n into a tree: Atom(n) below ulimit, else a forest of children.
 
-    Each distinct code is expanded once per call: a memo that lives for
-    this call only maps a code to its node and that node's height, so
-    equal codes decode to the same object and the result shares its
-    equal subtrees.  The work is O(distinct subtrees), not O(nodes).
+    Two phases, each working once per distinct code.  Discovery expands
+    the codes level by level from the root, each new code once.  The
+    build then makes each node in ascending code order from a memo that
+    lives for this call only (code -> node): the termination contract
+    puts every child code below its parent's, so a forest's children are
+    always built before it.  Equal codes decode to the same object, so
+    the result shares its equal subtrees, and the work is O(distinct
+    subtrees), not O(nodes).  A codec whose expand breaks the contract
+    raises ValueError.
 
     max_depth, when given, bounds the nesting depth and raises
     RecursionError beyond it instead of consuming unbounded memory; a
@@ -203,37 +212,85 @@ def unrank(codec: Codec, n: int, max_depth: int | None = None) -> Tree:
         return Atom(n)
     # the root forest is never refused, so a limit below 1 acts as 1
     limit = math.inf if max_depth is None else max(max_depth, 1)
-    memo: dict[int | tuple[int, int], tuple[Tree, int]] = {}  # code key -> (node, height)
-    # open forests: code key, child codes, children built so far
-    stack: list[tuple[int | tuple[int, int], list[int], list[Tree]]] = [
-        (_code_key(n), expand(n - u), [])]
-    heights = [0]  # per open forest: the height of its tallest child so far
-    while True:
-        code, ranks, built = stack[-1]
-        if len(built) == len(ranks):
-            stack.pop()
-            node, height = Forest(tuple(built)), heights.pop() + 1
-            memo[code] = (node, height)
-            if not stack:
-                return node
-        else:
-            m = ranks[len(built)]
-            key = m if m < _SMALL else _code_key(m)
-            hit = memo.get(key)
-            if hit is None and m >= u:
-                if len(stack) >= limit:
+    # a code below _SMALL is its own key, and so are its children, which are
+    # below it.  A big code is looked up by its _code_key, a tuple hashed
+    # anew on every lookup, so only once per edge; after that its key is
+    # ~i, i its index in big_codes: a negative int, apart from every small code
+    kids: dict[int, list[int]] = {}  # forest key -> its child keys
+    memo: dict[int, Tree] = {}  # key -> node; atoms are made as they are found
+    level: set[int] = set()  # this level's new small codes
+    big_codes: list[int] = []  # every big code in the order found
+    serial: dict[tuple[int, int], int] = {}  # _code_key of a big code -> its key
+    if n < _SMALL:
+        level.add(n)
+    else:
+        serial[_code_key(n)] = ~0
+        big_codes.append(n)
+    start = depth = 0  # big_codes[start:] are this level's new big codes
+    while level or start < len(big_codes):
+        depth += 1
+        # a code first met past the limit sits past it wherever it appears
+        if depth > limit and any(m >= u for m in chain(level, big_codes[start:])):
+            raise RecursionError(f"tree depth exceeds limit {max_depth}")
+        new: set[int] = set()
+        if start < len(big_codes):
+            end = len(big_codes)
+            for i in range(start, end):
+                m = big_codes[i]
+                if m < u:
+                    memo[~i] = Atom(m)
+                    continue
+                keys = kids[~i] = []
+                for c in expand(m - u):
+                    if c < _SMALL:
+                        new.add(c)
+                    else:
+                        key = serial.setdefault(_code_key(c), ~len(big_codes))
+                        if key == ~len(big_codes):
+                            big_codes.append(c)
+                        c = key
+                    keys.append(c)
+            start = end
+        for m in level:
+            if m < u:
+                memo[m] = Atom(m)
+            else:
+                children = kids[m] = expand(m - u)
+                new.update(children)
+        # set.difference(dict) walks the set only, not the whole dict
+        level = new.difference(kids)
+        if memo:
+            level = level.difference(memo)
+    # ascending codes: the small forests, then the big ones (keyed ~i, and
+    # atoms among them only when ulimit is big) by code
+    order = sorted(kids)
+    if big_codes:
+        del order[:bisect_left(order, 0)]
+        order += filter(kids.__contains__,
+                        map(invert, sorted(range(len(big_codes)), key=big_codes.__getitem__)))
+    get = memo.__getitem__
+    try:
+        # a tree is no taller than its count of distinct forests, since
+        # codes fall along every path: only a tighter limit needs heights
+        if len(order) > limit:
+            height = dict.fromkeys(memo, 0)
+            for key in order:
+                h = height[key] = 1 + max(map(height.__getitem__, kids[key]), default=0)
+                if h > limit:
                     raise RecursionError(f"tree depth exceeds limit {max_depth}")
-                stack.append((key, expand(m - u), []))
-                heights.append(0)
-                continue
-            if hit is None:
-                hit = memo[key] = (Atom(m), 0)
-            elif len(stack) + hit[1] > limit:
-                raise RecursionError(f"tree depth exceeds limit {max_depth}")
-            node, height = hit
-        stack[-1][2].append(node)
-        if height > heights[-1]:
-            heights[-1] = height
+        # tuple(list(...)): a tuple filled from map() is resized as it grows.
+        # Popping frees each child list once read, so the lists do not pile
+        # up in the collector's youngest generation: a 4096-bit hfs decode
+        # ran 5.4 collections instead of 7.4
+        for key in order:
+            memo[key] = Forest(tuple(list(map(get, kids.pop(key)))))
+    except KeyError:  # a child not built yet: it is not below its parent
+        code = key if key >= 0 else big_codes[~key]
+        raise ValueError(f"codec {codec.name!r} breaks its termination contract: a child "
+                         f"of code {_int_text(code)} is not below it") from None
+    return memo[key]  # the root, the largest code, comes last
+
+
 
 
 def rank(codec: Codec, t: Tree) -> int:

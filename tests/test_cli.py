@@ -1,5 +1,6 @@
 import builtins
 import os
+import subprocess
 import sys
 
 import pytest
@@ -260,3 +261,12 @@ def test_sized_perm_refuses_a_huge_rank_by_its_bit_length(capsys):
                              "3 0x" + "f" * 16384)
     assert (code, out) == (2, "")
     assert err == "hfcodec: rank <65536-bit integer> does not fit a size-3 permutation\n"
+
+
+def test_importing_the_cli_leaves_selfcheck_unloaded():
+    # only the selfcheck command needs it, so no other command compiles it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys, hfcodec.cli; print('hfcodec.selfcheck' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

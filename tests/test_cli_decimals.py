@@ -8,11 +8,12 @@ for that one call and restored after it.
 
 import random
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
 
-from hfcodec import cli, permcodec, setfun
+from hfcodec import cli, permcodec, setfun, table
 
 BUDGET = cli._DECIMAL_BITS
 CHUNK = cli._CHUNK
@@ -99,6 +100,34 @@ def test_encode_refuses_a_result_past_the_budget(capsys):
     assert f"a {BUDGET + 1}-bit result" in err
 
 
+@pytest.mark.parametrize("codec,listed,bits", [
+    ("set", "[100000000]", 100_000_001),
+    ("fun", "[3,100000000]", 100_000_005),
+    ("rle", "[100000000,0]", 100_000_002),
+])
+def test_encode_refuses_a_long_code_before_making_it(capsys, codec, listed, bits):
+    # these encoders build a bit string as long as the code: 100 MB here
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "encode", "--codec", codec, listed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"hfcodec: a {bits}-bit result is past the {BUDGET}-bit budget for decimals\n"
+    assert peak < 1 << 20, f"peaked at {peak} bytes before refusing"
+
+
+def test_code_bits_are_the_encoders_bit_lengths():
+    rng = random.Random(31)
+    for name, code_bits in cli._CODE_BITS.items():
+        row = table.FLAT[name]
+        for bits in (0, 1, 2, 7, 64, 300, 5000):
+            for _ in range(20):
+                values = row.draw(rng, bits)
+                assert code_bits(values) == row.encode(values).bit_length(), (name, values)
+
+
 def test_a_million_digit_argument_is_refused_before_any_conversion(capsys, monkeypatch):
     def converted(s, j):
         raise AssertionError(f"converted {len(s)} digits before refusing")
@@ -118,6 +147,8 @@ def test_the_budget_applies_only_where_the_limit_refuses(capsys):
         assert (code, out, err) == (0, str(past) + "\n", "")
         code, out, err = run_cli(capsys, "decode", "--codec", "set", "--format", "decimal",
                                  str(past))
+        assert (code, out, err) == (0, str(past) + "\n", "")
+        code, out, err = run_cli(capsys, "encode", "--codec", "set", f"[{BUDGET}]")
         assert (code, out, err) == (0, str(past) + "\n", "")
 
 

@@ -214,6 +214,43 @@ def test_unrank_depth_cap():
     unrank(c, 1 << 600, max_depth=10_000)
 
 
+def test_depth_limit_at_the_height_of_a_tree_taller_than_its_levels():
+    # 2054 distinct forests, met in 3 levels, 6 levels tall: a limit below
+    # the forest count is checked against the heights, which the levels miss
+    c = codec_hfs()
+    n = random.Random(41).getrandbits(4096) | 1 << 4095
+    t = unrank(c, n)
+    height = hftree._fold(t, lambda a: 0, lambda heights: 1 + max(heights, default=0))
+    assert height < len(to_dag(t).nodes)
+    assert unrank(c, n, max_depth=height) == t
+    with pytest.raises(RecursionError) as exc:
+        unrank(c, n, max_depth=height - 1)
+    assert str(exc.value) == f"tree depth exceeds limit {height - 1}"
+
+
+def test_a_long_hff1_chain_decodes_in_linear_time():
+    # 16002 levels of one code each: ~0.7 s; work per level that grows with
+    # the codes found so far (a set difference_update against the memo
+    # dict walks all of it) takes tens of seconds
+    start = time.monotonic()
+    t = unrank(codec_hff1(), 1 << 16000)
+    elapsed = time.monotonic() - start
+    assert elapsed < 3, f"took {elapsed:.2f}s, budget is 3s"
+    assert len(to_dag(t).nodes) == 16002
+
+
+def test_expand_that_does_not_descend_breaks_the_contract():
+    # the codes are built in ascending order, so a child at or above its
+    # parent's code is not built yet when the parent is; this used to loop
+    # for ever
+    c = Codec("stuck", 0, lambda m: [m], sum)
+    for n, text in [(5, "5"), (1 << 70, str(1 << 70)), (1 << 20000, "<20001-bit integer>")]:
+        with pytest.raises(ValueError) as exc:
+            unrank(c, n)
+        assert str(exc.value) == (f"codec 'stuck' breaks its termination contract: "
+                                  f"a child of code {text} is not below it")
+
+
 def test_deserialize_depth_cap():
     with pytest.raises(ParseError):
         deserialize("((((()))))", max_depth=3)
