@@ -230,12 +230,17 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 # the exact bit length of a code, read off its list: these encoders build
-# a bit string that long, so _cmd_encode refuses a code past the budget
-# before making it ('[100000000]' took 0.26 s and 128 MB to be refused after)
+# a bit string (pair-pepis a power of two) that long, so _cmd_encode refuses
+# a code past the budget before making it ('[100000000]' took 0.26 s and
+# 128 MB to be refused after, pair-pepis '[100000000,0]' peaked at 26.7 MB).
+# A list that is not a pair reads 0 bits, so the pair row's encoder reports it
 _CODE_BITS: dict[str, Callable[[Sequence[int]], int]] = {
     "set": lambda s: s[-1] + 1 if s else 0,
     "fun": lambda f: sum(f) + len(f),
     "rle": lambda f: sum(f) + len(f),
+    # 2**x * (2y + 1) - 1
+    "pair-pepis": lambda p: (p[0] + (2 * p[1] + 1).bit_length() - (p[1] == 0)
+                             if len(p) == 2 else 0),
 }
 
 

@@ -39,10 +39,8 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, count, islice
-from operator import invert
+from itertools import count, islice
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import pairing, permcodec, setfun
@@ -177,29 +175,44 @@ def __getattr__(name: str) -> dict[str, Callable[[int], Codec]]:
 
 # hash(m) is m mod 2**61 - 1, so big naturals with a pattern collide in bulk
 # (2**k and 2**(k % 61) hash alike) and would make a dict keyed on them
-# quadratic.  So unrank's codes and deserialize's atom values are keyed as
-# themselves below _SMALL and as (hash of their bytes, value) above: bytes
-# hashes are seeded per process and have no such pattern, and the key holds
-# no copy of the value.
+# quadratic.  So unrank's codes and deserialize's and to_dag's atom values
+# are keyed as themselves below _SMALL and as a _BigCode above: bytes hashes
+# are seeded per process and have no such pattern.
 _SMALL = 1 << 60
 
 
-def _code_key(m: int) -> int | tuple[int, int]:
-    return m if m < _SMALL else (hash(m.to_bytes((m.bit_length() + 7) // 8, "little")), m)
+class _BigCode(int):
+    """A code at or above _SMALL as a dict key: hashed by its bytes.
+
+    It equals its code and sorts like it, and arithmetic on it gives a
+    plain int.  The hash is computed once, when the key is made.
+    """
+
+    def __new__(cls, m: int) -> _BigCode:
+        key = super().__new__(cls, m)
+        key._hash = hash(m.to_bytes((m.bit_length() + 7) // 8, "little"))
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+def _code_key(m: int) -> int:
+    return m if m < _SMALL else _BigCode(m)
 
 
 def unrank(codec: Codec, n: int, max_depth: int | None = None) -> Tree:
     """Decode n into a tree: Atom(n) below ulimit, else a forest of children.
 
-    Two phases, each working once per distinct code.  Discovery expands
-    the codes level by level from the root, each new code once.  The
-    build then makes each node in ascending code order from a memo that
-    lives for this call only (code -> node): the termination contract
-    puts every child code below its parent's, so a forest's children are
-    always built before it.  Equal codes decode to the same object, so
-    the result shares its equal subtrees, and the work is O(distinct
-    subtrees), not O(nodes).  A codec whose expand breaks the contract
-    raises ValueError.
+    Two phases, each working once per distinct code, keyed by _code_key.
+    Discovery expands the codes level by level from the root, each new
+    code once.  The build then makes each node in ascending code order
+    from a memo that lives for this call only (code -> node): the
+    termination contract puts every child code below its parent's, so a
+    forest's children are always built before it.  Equal codes decode to
+    the same object, so the result shares its equal subtrees, and the
+    work is O(distinct subtrees), not O(nodes).  A codec whose expand
+    breaks the contract raises ValueError.
 
     max_depth, when given, bounds the nesting depth and raises
     RecursionError beyond it instead of consuming unbounded memory; a
@@ -212,85 +225,51 @@ def unrank(codec: Codec, n: int, max_depth: int | None = None) -> Tree:
         return Atom(n)
     # the root forest is never refused, so a limit below 1 acts as 1
     limit = math.inf if max_depth is None else max(max_depth, 1)
-    # a code below _SMALL is its own key, and so are its children, which are
-    # below it.  A big code is looked up by its _code_key, a tuple hashed
-    # anew on every lookup, so only once per edge; after that its key is
-    # ~i, i its index in big_codes: a negative int, apart from every small code
-    kids: dict[int, list[int]] = {}  # forest key -> its child keys
-    memo: dict[int, Tree] = {}  # key -> node; atoms are made as they are found
-    level: set[int] = set()  # this level's new small codes
-    big_codes: list[int] = []  # every big code in the order found
-    serial: dict[tuple[int, int], int] = {}  # _code_key of a big code -> its key
-    if n < _SMALL:
-        level.add(n)
-    else:
-        serial[_code_key(n)] = ~0
-        big_codes.append(n)
-    start = depth = 0  # big_codes[start:] are this level's new big codes
-    while level or start < len(big_codes):
+    kids: dict[int, list[int]] = {}  # forest code -> its child codes
+    memo: dict[int, Tree] = {}  # code -> node; atoms are made as they are found
+    level = {_code_key(n)}  # this level's new codes
+    depth = 0
+    while level:
         depth += 1
         # a code first met past the limit sits past it wherever it appears
-        if depth > limit and any(m >= u for m in chain(level, big_codes[start:])):
+        if depth > limit and any(m >= u for m in level):
             raise RecursionError(f"tree depth exceeds limit {max_depth}")
         new: set[int] = set()
-        if start < len(big_codes):
-            end = len(big_codes)
-            for i in range(start, end):
-                m = big_codes[i]
-                if m < u:
-                    memo[~i] = Atom(m)
-                    continue
-                keys = kids[~i] = []
-                for c in expand(m - u):
-                    if c < _SMALL:
-                        new.add(c)
-                    else:
-                        key = serial.setdefault(_code_key(c), ~len(big_codes))
-                        if key == ~len(big_codes):
-                            big_codes.append(c)
-                        c = key
-                    keys.append(c)
-            start = end
         for m in level:
             if m < u:
-                memo[m] = Atom(m)
+                memo[m] = Atom(int(m))
             else:
-                children = kids[m] = expand(m - u)
+                children = expand(m - u)
+                # children are below their code, so only a big code has big ones
+                if m >= _SMALL and max(children, default=0) >= _SMALL:
+                    children = list(map(_code_key, children))
+                kids[m] = children
                 new.update(children)
         # set.difference(dict) walks the set only, not the whole dict
         level = new.difference(kids)
         if memo:
             level = level.difference(memo)
-    # ascending codes: the small forests, then the big ones (keyed ~i, and
-    # atoms among them only when ulimit is big) by code
     order = sorted(kids)
-    if big_codes:
-        del order[:bisect_left(order, 0)]
-        order += filter(kids.__contains__,
-                        map(invert, sorted(range(len(big_codes)), key=big_codes.__getitem__)))
     get = memo.__getitem__
     try:
         # a tree is no taller than its count of distinct forests, since
         # codes fall along every path: only a tighter limit needs heights
         if len(order) > limit:
             height = dict.fromkeys(memo, 0)
-            for key in order:
-                h = height[key] = 1 + max(map(height.__getitem__, kids[key]), default=0)
+            for m in order:
+                h = height[m] = 1 + max(map(height.__getitem__, kids[m]), default=0)
                 if h > limit:
                     raise RecursionError(f"tree depth exceeds limit {max_depth}")
         # tuple(list(...)): a tuple filled from map() is resized as it grows.
         # Popping frees each child list once read, so the lists do not pile
         # up in the collector's youngest generation: a 4096-bit hfs decode
         # ran 5.4 collections instead of 7.4
-        for key in order:
-            memo[key] = Forest(tuple(list(map(get, kids.pop(key)))))
+        for m in order:
+            memo[m] = Forest(tuple(list(map(get, kids.pop(m)))))
     except KeyError:  # a child not built yet: it is not below its parent
-        code = key if key >= 0 else big_codes[~key]
         raise ValueError(f"codec {codec.name!r} breaks its termination contract: a child "
-                         f"of code {_int_text(code)} is not below it") from None
-    return memo[key]  # the root, the largest code, comes last
-
-
+                         f"of code {_int_text(m)} is not below it") from None
+    return memo[m]  # the root, the largest code, comes last
 
 
 def rank(codec: Codec, t: Tree) -> int:
@@ -564,7 +543,7 @@ def _parse(text: str, max_depth: int | None, pattern: re.Pattern[str]) -> Tree:
     grouped = pattern is _GROUPED
     findall = pattern.findall
     nodes: list[Tree] = []  # by serial number
-    atoms: dict[int | tuple[int, int], int] = {}  # _code_key(value) -> serial
+    atoms: dict[int, int] = {}  # _code_key(value) -> serial
     forests: dict[tuple[int, ...], int] = {}  # child serials -> serial
     # group token -> its serial, and how many levels its brackets nest below its own
     groups: dict[str, tuple[int, int]] = {}
@@ -621,7 +600,7 @@ def _parse(text: str, max_depth: int | None, pattern: re.Pattern[str]) -> Tree:
 
 
 def _read_group(token: str, findall: Callable[..., list[str]], nodes: list[Tree],
-                atoms: dict[int | tuple[int, int], int], forests: dict[tuple[int, ...], int],
+                atoms: dict[int, int], forests: dict[tuple[int, ...], int],
                 groups: dict[str, tuple[int, int]]) -> tuple[int, int]:
     """A new group token's serial, and how many levels nest below its brackets.
 

@@ -104,9 +104,10 @@ def test_encode_refuses_a_result_past_the_budget(capsys):
     ("set", "[100000000]", 100_000_001),
     ("fun", "[3,100000000]", 100_000_005),
     ("rle", "[100000000,0]", 100_000_002),
+    ("pair-pepis", "[100000000,0]", 100_000_000),
 ])
 def test_encode_refuses_a_long_code_before_making_it(capsys, codec, listed, bits):
-    # these encoders build a bit string as long as the code: 100 MB here
+    # these encoders build a bit string or a power of two as long as the code
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "encode", "--codec", codec, listed)
@@ -116,6 +117,14 @@ def test_encode_refuses_a_long_code_before_making_it(capsys, codec, listed, bits
     assert (code, out) == (2, "")
     assert err == f"hfcodec: a {bits}-bit result is past the {BUDGET}-bit budget for decimals\n"
     assert peak < 1 << 20, f"peaked at {peak} bytes before refusing"
+
+
+@pytest.mark.parametrize("listed", ["[100000000]", "[100000000,0,0]"])
+def test_a_long_pepis_list_that_is_not_a_pair_gets_the_pair_error(capsys, listed):
+    count = listed.count(",") + 1
+    code, out, err = run_cli(capsys, "encode", "--codec", "pair-pepis", listed)
+    assert (code, out) == (2, "")
+    assert err == f"hfcodec: pair-pepis expects a pair [x,y], got {count} values\n"
 
 
 def test_code_bits_are_the_encoders_bit_lengths():

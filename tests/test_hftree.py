@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from hfcodec import hftree
+from hfcodec import hftree, pairing
 from hfcodec.hftree import (
     TREE_CODECS,
     Atom,
@@ -242,13 +242,43 @@ def test_a_long_hff1_chain_decodes_in_linear_time():
 def test_expand_that_does_not_descend_breaks_the_contract():
     # the codes are built in ascending order, so a child at or above its
     # parent's code is not built yet when the parent is; this used to loop
-    # for ever
-    c = Codec("stuck", 0, lambda m: [m], sum)
-    for n, text in [(5, "5"), (1 << 70, str(1 << 70)), (1 << 20000, "<20001-bit integer>")]:
+    # for ever.  leaps gives the small code 10 a big child, whose halvings
+    # end at 32, whose child leaps back up
+    stuck = Codec("stuck", 0, lambda m: [m], sum)
+    leaps = Codec("leaps", 0, lambda m: [1 << 100] if m < 50 else [m >> 1], sum)
+    for c, n, text in [(stuck, 5, "5"), (stuck, 1 << 70, str(1 << 70)),
+                       (stuck, 1 << 20000, "<20001-bit integer>"), (leaps, 10, "10")]:
         with pytest.raises(ValueError) as exc:
             unrank(c, n)
-        assert str(exc.value) == (f"codec 'stuck' breaks its termination contract: "
+        assert str(exc.value) == (f"codec {c.name!r} breaks its termination contract: "
                                   f"a child of code {text} is not below it")
+
+
+def test_big_codes_that_share_one_hash_decode_in_near_linear_time():
+    # hash(m) is m mod 2**61 - 1, so these components all hash alike: keyed
+    # by their own hash, a dict of them is quadratic.  A ratio of two sizes
+    # keeps the host's speed out of the bound
+    def components(w):
+        return [(1 << 80) + i * ((1 << 61) - 1) for i in range(w)]
+
+    assert len({hash(m) for m in components(4000)}) == 1
+    c = codec_hff1()
+    n = pairing.ftuple2nat(components(4000))
+    t = unrank(c, n)
+    assert rank(c, t) == n
+    assert_fully_shared(t)
+
+    def best_of_3(w):
+        m = pairing.ftuple2nat(components(w))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            unrank(c, m)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    ratio = best_of_3(4000) / best_of_3(1000)
+    assert ratio < 8, f"4x the components took {ratio:.1f}x as long"
 
 
 def test_deserialize_depth_cap():
