@@ -28,15 +28,17 @@ from typing import Iterable, Iterator, Sequence
 
 # Codes of at most this many bits stay on a word-sized loop over their set
 # bits in three places: nat2set and _set2nat (setfun) and from_tuple
-# (pairing).  The tree codecs make most of their calls on such codes: of the
-# nat2set calls in hfs decodes of random 4096-bit codes (about 2,045 per
-# tree at ulimit 0 and at 16), 99.95% are at most 12 bits.  There nat2set's
-# loop takes 0.3-0.4 us against the bit string's 0.7-1.1 at 4 bits, and
-# 0.7-1.1 against 0.9-1.3 at 12; the string wins from about 24 bits (random
-# codes with the top bit set, best of 9 in each of three runs, CPython
-# 3.11.7 on a shared 2-vCPU VM).  Both paths have a workload that runs them,
-# small children and big codes, so both stay.  to_tuple has no such loop:
-# its divmod per set bit already lost to slicing at 16 bits.
+# (pairing); bigger codes go through a bit string.  Each loop takes less
+# time than the string would on the calls it gets in the benchmark: nat2set
+# and _set2nat in hfs trees (wide-tree, where 99.95% of the calls are on at
+# most 12 bits) and in small-enum, from_tuple in small-enum and in the hff1
+# trees of big-flat.  With all three loops deleted, small-enum
+# read 3.1% fewer objects_per_s (10 alternating pairs, the loops ahead in
+# all 10; CPython 3.11.7 on a shared 2-vCPU VM).  On 13-24 bits the faster
+# side changes with the function and the run, and only big-flat's
+# from_tuple gets codes of 25-32 bits (about 15 calls per op of about 9 ms),
+# so the cut stays at 32.  to_tuple has no such loop: its divmod per set
+# bit already lost to slicing at 16 bits.
 _LOOP_BITS = 32
 
 # digits of int() and format() for the power-of-two bases up to 32; in

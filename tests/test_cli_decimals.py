@@ -62,6 +62,11 @@ EDGES = list(edge_values())
 EDGE_TEXTS = [unlimited_str(n) for n in EDGES]
 
 
+def test_the_suite_runs_under_the_default_limit():
+    # tests/conftest.py pins it, whatever PYTHONINTMAXSTRDIGITS says
+    assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+
 @pytest.mark.parametrize("limit", [sys.int_info.default_max_str_digits,
                                    sys.int_info.str_digits_check_threshold])
 def test_converter_equals_str_with_the_limit_lifted(limit):
