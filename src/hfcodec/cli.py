@@ -27,6 +27,10 @@ class UsageError(ValueError):
     """Bad flag combination or malformed input; maps to exit code 2."""
 
 
+# the errors main reports with exit 2
+_REPORTED = (ValueError, OverflowError, RecursionError)
+
+
 # ASCII digits only: int() alone also takes signs, underscores and other digits
 _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 
@@ -195,21 +199,25 @@ def _resolve_format(codec: str, fmt: str | None, command: str) -> str:
 CODEC_NAMES = (*table.FLAT, *table.TREE)
 
 
-def _decoder(args: argparse.Namespace, fmt: str) -> Callable[[int], str]:
-    """The function from a code to its output line; each command builds it once.
+def _decoder(args: argparse.Namespace, fmt: str) -> Callable[[Sequence[int]], str]:
+    """The function from a run of codes to their output lines, joined by
+    newlines; each command builds it once.
 
-    decimal echoes the code without decoding it, for every codec.
+    A tree codec decodes the run as one unfold and prints it with one
+    memo, so a subtree that several lines share is built and walked once.
+    decimal echoes the codes without decoding them, for every codec.
     """
     if fmt == "decimal":
-        return _decimal
+        return lambda codes: "\n".join(map(_decimal, codes))
     row = table.TREE.get(args.codec)
     if row is None:
         decode = table.FLAT[args.codec].decoder(args.arity)
-        return lambda n: _format_list(decode(n))
+        return lambda codes: "\n".join([_format_list(decode(n)) for n in codes])
     codec, max_depth = row.make(args.ulimit), _depth_limit()
-    text = {"tree": hftree.serialize, "dot": hftree.to_dot,
-            "show": partial(hftree.render, row.style, args.ulimit)}[fmt]
-    return lambda n: text(hftree.unrank(codec, n, max_depth=max_depth))
+    text = {"tree": hftree._serialize_lines,
+            "dot": lambda trees: "\n".join(map(hftree.to_dot, trees)),
+            "show": partial(hftree._render_lines, row.style, args.ulimit)}[fmt]
+    return lambda codes: text(hftree._unfold(codec, codes, max_depth))
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
@@ -225,7 +233,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         print(_format_list(permcodec.nth2perm((size, rank_))))
         return 0
     n = _parse_natural(args.value)  # a bad value is reported before a bad depth limit
-    print(_decoder(args, fmt)(n))
+    print(_decoder(args, fmt)((n,)))
     return 0
 
 
@@ -268,12 +276,32 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+# enumerate decodes consecutive codes in chunks of at most _CHUNK_BITS bits
+# in total, and a bigger code as a chunk by itself, so a chunk holds about
+# as much as one 65536-bit decode
+_CHUNK_BITS = 1 << 16
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_flags(args)
     fmt = _resolve_format(args.codec, args.format, args.command)
-    decode = _decoder(args, fmt)
-    for n in range(args.start, args.start + args.count):
-        print(decode(n))
+    lines = _decoder(args, fmt)
+    n, stop = args.start, args.start + args.count
+    while n < stop:
+        chunk, bits = [n], n.bit_length()
+        n += 1
+        while n < stop and (bits := bits + n.bit_length()) <= _CHUNK_BITS:
+            chunk.append(n)
+            n += 1
+        try:
+            text = lines(chunk)
+        except _REPORTED:
+            # one code at a time, so the lines before the failing code
+            # print as they would alone, and then its error
+            for m in chunk:
+                print(lines((m,)))
+        else:
+            print(text)
     return 0
 
 
@@ -358,7 +386,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except (ValueError, OverflowError, RecursionError) as exc:
+    except _REPORTED as exc:
         print(f"hfcodec: {exc}", file=sys.stderr)
         return 2
 

@@ -7,16 +7,18 @@ else is shifted down by ulimit, expanded, and decoded recursively.  rank
 folds a tree back to its number.  With ulimit 0 no atoms occur and the
 trees are pure nestings of empty forests.
 
-unrank is the one unfold; rank, to_dag and Forest hashing are instances
-of the one post-order fold, _fold.
+_unfold is the one unfold, of one root (unrank) or of several at once;
+rank, to_dag and Forest hashing are instances of the one post-order
+fold, _fold.
 
 Trees share their equal subtrees.  unrank expands each distinct code
 once and deserialize interns each distinct subtree once, so an equal
 subtree in two places is one object.  Every walk keeps a memo that lives
-for one call only (code, id, serial number or text -> result); nothing
-is cached between calls.  So unrank, rank, to_dag and hashing cost
-O(distinct subtrees), not O(nodes), while printing stays O(text length):
-it repeats a shared subtree's text instead of walking it again.
+for one call, or one enumerate chunk, only (code, id, serial number or
+text -> result); nothing is cached between calls.  So unrank, rank,
+to_dag and hashing cost O(distinct subtrees), not O(nodes), while
+printing stays O(text length): it repeats a shared subtree's text
+instead of walking it again.
 deserialize reads every subtree at most _GROUP_HEIGHT levels tall as one
 regex token and each distinct one once, so the regex engine does
 O(_GROUP_HEIGHT x text) work and Python works per distinct shallow
@@ -112,6 +114,13 @@ class Forest:
 
 Tree = Atom | Forest
 _R = TypeVar("_R")
+
+# unrank and deserialize make each forest from a tuple of children they
+# built themselves, so they set the slot straight on a new object: without
+# __init__ and __post_init__ a one-child forest took 348 ns instead of 846
+# (timeit), and a 4096-bit hfs unrank about 4.6 ms instead of 6.5
+_new = object.__new__
+_set_children = Forest.children.__set__
 
 
 @dataclass(frozen=True)
@@ -219,15 +228,25 @@ def unrank(codec: Codec, n: int, max_depth: int | None = None) -> Tree:
     shared subtree is checked against the depth of every place it
     appears.
     """
+    return _unfold(codec, (n,), max_depth)[0]
+
+
+def _unfold(codec: Codec, ns: Sequence[int], max_depth: int | None) -> list[Tree]:
+    """unrank of every code in ns, as one unfold with one memo for them all.
+
+    The first level is all of ns, so a code that several roots hold is
+    expanded and built once, and equal subtrees are one object across
+    the roots too.  Past max_depth it raises if any root is too deep.
+    """
     u, expand = codec.ulimit, codec.expand
-    _check_natural(n)
-    if n < u:
-        return Atom(n)
-    # the root forest is never refused, so a limit below 1 acts as 1
+    for n in ns:
+        _check_natural(n)
+    roots = list(map(_code_key, ns))
+    # a root forest is never refused, so a limit below 1 acts as 1
     limit = math.inf if max_depth is None else max(max_depth, 1)
     kids: dict[int, list[int]] = {}  # forest code -> its child codes
     memo: dict[int, Tree] = {}  # code -> node; atoms are made as they are found
-    level = {_code_key(n)}  # this level's new codes
+    level = set(roots)  # this level's new codes
     depth = 0
     while level:
         depth += 1
@@ -267,11 +286,13 @@ def unrank(codec: Codec, n: int, max_depth: int | None = None) -> Tree:
         # up in the collector's youngest generation: a 4096-bit hfs decode
         # ran 5.4 collections instead of 7.4
         for m in order:
-            memo[m] = Forest(tuple(list(map(get, kids.pop(m)))))
+            children = tuple(list(map(get, kids.pop(m))))
+            memo[m] = forest = _new(Forest)
+            _set_children(forest, children)
     except KeyError:  # a child not built yet: it is not below its parent
         raise ValueError(f"codec {codec.name!r} breaks its termination contract: a child "
                          f"of code {_int_text(m)} is not below it") from None
-    return memo[m]  # the root, the largest code, comes last
+    return list(map(get, roots))
 
 
 def rank(codec: Codec, t: Tree) -> int:
@@ -389,26 +410,34 @@ def render(style: RenderStyle, ulimit: int, t: Tree) -> str:
     play the fully bracketed form is much harder to scan, and both
     objects fold back to small fixed codes anyway.
     """
+    return _render_lines(style, ulimit, (t,))
+
+
+def _render_lines(style: RenderStyle, ulimit: int, roots: Sequence[Tree]) -> str:
+    """render of each root, one per line, printed with one memo."""
     empty = "0" if ulimit > 1 else style.open + style.close
-    return _print(t, style, empty, "", ulimit)
+    return _print(roots, style, empty, "", ulimit)
 
 
-def _print(t: Tree, style: RenderStyle, empty: str, atom_prefix: str,
+def _print(roots: Sequence[Tree], style: RenderStyle, empty: str, atom_prefix: str,
            ulimit: int | None) -> str:
-    """The printer loop behind render and serialize.
+    """The printer loop behind render and serialize: each root's text, one per line.
 
     Forests print with style's brackets and separator, and as empty when
     they have no children.  Atoms print as atom_prefix and a decimal,
-    checked against ulimit unless it is None.  A forest that t holds in
-    several places is walked once per call: its first print records the
-    slice of output pieces it made (keyed on id), and each repeat appends
-    that slice joined into one string, joined on the first repeat only.
-    Repeats never overlap in the output, so the cost stays O(output).
+    checked against ulimit unless it is None.  A forest that the roots
+    hold in several places, on one line or on several, is walked once
+    per call: its first print records the slice of output pieces it made
+    (keyed on id), and each repeat appends that slice joined into one
+    string, joined on the first repeat only.  Repeats never overlap in
+    the output, so the cost stays O(output).
     """
     open_, separator, close = style.open, style.separator, style.close
     out: list[str] = []
     printed: dict[int, tuple[int, int] | str] = {}  # id(forest) -> its pieces of out
-    stack: list[Tree | str | tuple[int, int]] = [t]
+    # the newlines between the roots are str items, printed as they are
+    stack: list[Tree | str | tuple[int, int]] = ["\n"] * (2 * len(roots) - 1)
+    stack[::2] = roots[::-1]
     while stack:
         item = stack.pop()
         if isinstance(item, Atom):
@@ -477,7 +506,12 @@ def serialize(t: Tree) -> str:
 
     Forest[Atom(2), Forest()] serializes to "(a2 ())".
     """
-    return _print(t, FUN_STYLE, "()", "a", None)
+    return _serialize_lines((t,))
+
+
+def _serialize_lines(roots: Sequence[Tree]) -> str:
+    """serialize of each root, one per line, printed with one memo."""
+    return _print(roots, FUN_STYLE, "()", "a", None)
 
 
 # one token per match: a bracket, an atom tag with its digits, or any other
@@ -639,7 +673,9 @@ def _intern(children: tuple[int, ...], nodes: list[Tree], forests: dict[tuple[in
     serial = forests.get(children)
     if serial is None:
         serial = forests[children] = len(nodes)
-        nodes.append(Forest(tuple([nodes[c] for c in children])))
+        forest = _new(Forest)
+        _set_children(forest, tuple([nodes[c] for c in children]))
+        nodes.append(forest)
     return serial
 
 

@@ -1,11 +1,13 @@
 import builtins
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from hfcodec import cli, selfcheck
+from hfcodec import cli, selfcheck, table
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +86,62 @@ def test_enumerate_goldens(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--codec", "perm", "0", "3")
     assert code == 0
     assert out.splitlines() == ["[]", "[0]", "[0,1]"]
+
+
+# a dense 4096-bit code: an enumerate chunk holds 16 such codes, so a run
+# of 17 from it crosses into a second chunk
+DENSE = random.Random(15).getrandbits(4096) | 1 << 4095
+CROSSING = cli._CHUNK_BITS // 4096 + 1
+
+
+@pytest.mark.parametrize("flags", [
+    *([name, *(["--arity", "3"] if row.arities else []), "--format", fmt]
+      for name, row in table.FLAT.items() for fmt in ("list", "decimal")),
+    *([name, "--ulimit", ulimit, "--format", fmt]
+      for name in table.TREE for fmt in ("tree", "show", "decimal")
+      for ulimit in ("0", "2", "16")),
+], ids=" ".join)
+def test_enumerate_prints_what_each_decode_prints(capsys, flags):
+    code, out, err = run_cli(capsys, "enumerate", "--codec", *flags, str(DENSE), str(CROSSING))
+    assert (code, err) == (0, "")
+    want = ""
+    for n in range(DENSE, DENSE + CROSSING):
+        c, o, e = run_cli(capsys, "decode", "--codec", *flags, str(n))
+        assert (c, e) == (0, ""), n
+        want += o
+    assert out == want
+
+
+@pytest.mark.parametrize("codec", ["hfs", "hff1", "hfp"])
+def test_enumerate_fails_mid_chunk_after_the_lines_before(capsys, monkeypatch, codec):
+    # the codes below 100 make one chunk; the first too deep for the limit
+    # ends the run with the lines before it and the error decode gives it
+    monkeypatch.setenv("HFCODEC_RECURSION_LIMIT", "4")
+    code, out, err = run_cli(capsys, "enumerate", "--codec", codec, "0", "100")
+    want = ""
+    for n in range(100):
+        c, o, e = run_cli(capsys, "decode", "--codec", codec, str(n))
+        if c:
+            break
+        want += o
+    assert c == 2 and 0 < n < 99
+    assert e.startswith("hfcodec: tree depth exceeds limit 4")
+    assert (code, out, err) == (2, want, e)
+
+
+def test_enumerate_memory_stays_near_one_chunk(monkeypatch):
+    # 48 dense 4096-bit hfs codes print about 7 MB; in chunks of 16 the run
+    # peaked at 6.3 MB, and unfolded and printed as one chunk at 14.3 MB
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main(["enumerate", "--codec", "hfs", str(DENSE), "48"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 10 << 20, f"peaked at {peak} bytes"
 
 
 def test_dot_subcommand(capsys):
@@ -239,7 +297,11 @@ def test_selfcheck_reports_broken_law(capsys, monkeypatch):
     assert "1/2 laws hold" in out
 
 
-def test_broken_pipe_is_quiet(monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["decode", "--codec", "set", "42"],
+    ["enumerate", "--codec", "hfs", "0", "100"],  # one chunk of 100 lines
+])
+def test_broken_pipe_is_quiet(monkeypatch, argv):
     read_fd, write_fd = os.pipe()
     writer = os.fdopen(write_fd, "w")
     monkeypatch.setattr(sys, "stdout", writer)
@@ -249,7 +311,7 @@ def test_broken_pipe_is_quiet(monkeypatch):
 
     monkeypatch.setattr(builtins, "print", raising_print)
     try:
-        assert cli.main(["decode", "--codec", "set", "42"]) == 0
+        assert cli.main(argv) == 0
     finally:
         writer.close()
         os.close(read_fd)
