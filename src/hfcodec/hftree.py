@@ -38,7 +38,6 @@ levels.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass
@@ -739,6 +738,8 @@ def dag_to_dot(dag: Dag, hash_len: int = 8) -> str:
     Edges run from container to element and carry the 0-based child ordinal.
     A node's text is kept only until its last parent has read it.
     """
+    from hashlib import sha256  # here, not at the top: it loads OpenSSL, which import hfcodec need not
+
     # ids are bottom-up, so the last write is each child's last parent
     last = {c: node.id for node in dag.nodes for c in node.children}
     texts: dict[int, str] = {}
@@ -748,7 +749,7 @@ def dag_to_dot(dag: Dag, hash_len: int = 8) -> str:
             text = f"a{node.atom}"
         else:
             text = "(" + " ".join(texts[c] for c in node.children) + ")"
-        labels.append(hashlib.sha256(text.encode("ascii")).hexdigest()[:hash_len])
+        labels.append(sha256(text.encode("ascii")).hexdigest()[:hash_len])
         for child in node.children:
             if last[child] == node.id:
                 texts.pop(child, None)  # a repeated child is dropped once

@@ -27,18 +27,22 @@ from math import log2, prod
 from typing import Iterable, Iterator, Sequence
 
 # Codes of at most this many bits stay on a word-sized loop over their set
-# bits in three places: nat2set and _set2nat (setfun) and from_tuple
-# (pairing); bigger codes go through a bit string.  Each loop takes less
-# time than the string would on the calls it gets in the benchmark: nat2set
-# and _set2nat in hfs trees (wide-tree, where 99.95% of the calls are on at
-# most 12 bits) and in small-enum, from_tuple in small-enum and in the hff1
-# trees of big-flat.  With all three loops deleted, small-enum
-# read 3.1% fewer objects_per_s (10 alternating pairs, the loops ahead in
-# all 10; CPython 3.11.7 on a shared 2-vCPU VM).  On 13-24 bits the faster
-# side changes with the function and the run, and only big-flat's
-# from_tuple gets codes of 25-32 bits (about 15 calls per op of about 9 ms),
-# so the cut stays at 32.  to_tuple has no such loop: its divmod per set
-# bit already lost to slicing at 16 bits.
+# bits in four places: nat2set, set2nat and fun2nat (setfun) and from_tuple
+# (pairing); bigger codes go through a bit string.  The three encoders check
+# each element inside their loop.  With those checks in, the loops were
+# re-timed against the string paths on the calls each workload of the
+# benchmark makes (recorded, then best of 15 interleaved timings; CPython
+# 3.11.7 on a shared 2-vCPU VM).  nat2set, set2nat and fun2nat get codes of
+# at most 20 bits in small-enum and, but for a handful, at most 12 in
+# wide-tree; there the encoders' loops take 0.3-0.6 of the string's time,
+# and nat2set's loop at most as long as the string.  On random half-full
+# sets set2nat's loop still wins at 32 bits (1.52 against 1.58 us) and
+# loses from 36.  from_tuple's calls in small-enum stop at 20 bits; in
+# big-flat's hff1 trees its loop wins up to 24 bits and loses from 25
+# (2.50 against 2.10 us at 25 bits, 5.7 against 4.1 at 32), but those
+# 25-32-bit calls add up to about 5 ms of a 15 s run.  So no workload's
+# calls say to move the cut, and it stays at 32.  to_tuple has no such
+# loop: its divmod per set bit already lost to slicing at 16 bits.
 _LOOP_BITS = 32
 
 # digits of int() and format() for the power-of-two bases up to 32; in

@@ -12,7 +12,8 @@ k == 2 case), and ``ftuple2nat``/``nat2ftuple`` extend that to tuples of
 arbitrary length by folding the length into a pepis pair.  The streams
 are strided slices of the bit string, linear in the bit length;
 ``to_tuple`` slices at every size, while ``from_tuple`` merges at most
-natbits._LOOP_BITS bits with a loop over the set bits.
+natbits._LOOP_BITS bits with one loop that checks each component and ORs
+in its set bits.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ def to_tuple(k: int, n: int) -> list[int]:
     if k < 1:
         raise ValueError(f"arity must be >= 1, got {k}")
     _check_natural(n)
+    return _deal(k, n)
+
+
+def _deal(k: int, n: int) -> list[int]:
+    """to_tuple on a checked arity and natural."""
     bs = _rbitstr(n)
     return [_rbitstr2nat(bs[i::k]) for i in range(k)]
 
@@ -88,21 +94,33 @@ def from_tuple(ns: Sequence[int]) -> int:
     k = len(ns)
     if k < 1:
         raise ValueError("cannot merge an empty tuple")
-    for m in ns:
-        _check_natural(m)
-    width = max(map(int.bit_length, ns))
-    if k * width > _LOOP_BITS:
-        buf = bytearray(b"0") * (k * width)
-        for i, m in enumerate(ns):
-            buf[i::k] = _rbitstr(m).ljust(width, b"0")
-        return _rbitstr2nat(buf)
+    # a merge of at most _LOOP_BITS bits loops over the set bits, checking
+    # each component as it comes; a component of more than cut bits makes
+    # the merge longer, and sends the whole tuple to the bit string
+    cut = _LOOP_BITS // k
     out = 0
     for i, m in enumerate(ns):
+        if type(m) is not int or m < 0:
+            _check_natural(m)
+        if m >> cut:
+            return _merge(ns)
         while m:
             low = m & -m
             out |= 1 << ((low.bit_length() - 1) * k + i)
             m ^= low
     return out
+
+
+def _merge(ns: Sequence[int]) -> int:
+    """from_tuple through the bit string, for merges past _LOOP_BITS."""
+    for m in ns:
+        _check_natural(m)
+    k = len(ns)
+    width = max(map(int.bit_length, ns))
+    buf = bytearray(b"0") * (k * width)
+    for i, m in enumerate(ns):
+        buf[i::k] = _rbitstr(m).ljust(width, b"0")
+    return _rbitstr2nat(buf)
 
 
 def ftuple2nat(ns: Sequence[int]) -> int:
@@ -111,18 +129,21 @@ def ftuple2nat(ns: Sequence[int]) -> int:
     The empty tuple maps to 0.  [0] is rejected: its code would collide
     with the empty tuple's, and nat2ftuple never produces it.
     """
-    if len(ns) == 0:
+    k = len(ns)
+    if k == 0:
         return 0
     f = from_tuple(ns)  # checks the entries, so a bool is not taken for 0
-    if f == 0 and len(ns) == 1:
+    if f == 0 and k == 1:
         raise ValueError("[0] has no code; it would collide with the empty tuple")
-    return pepis_pair(len(ns) - 1, f)
+    return ((2 * f + 1) << (k - 1)) - 1  # pepis_pair(k - 1, f)
 
 
 def nat2ftuple(n: int) -> list[int]:
     """Decode a tuple together with its length; inverse of ftuple2nat."""
+    if type(n) is not int or n < 0:
+        _check_natural(n)  # refuses False and 0.0 too
     if n == 0:
-        _check_natural(n)  # refuses False and 0.0; pepis_unpair checks the rest
         return []
-    k, f = pepis_unpair(n)
-    return to_tuple(k + 1, f)
+    m = n + 1  # pepis_unpair(n), and to_tuple at its arity
+    a = (m & -m).bit_length() - 1
+    return _deal(a + 1, ((m >> a) - 1) // 2)

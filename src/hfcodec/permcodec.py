@@ -14,6 +14,14 @@ digit-at-a-time loop for short ones).  fr, to_sf and nth2perm size their
 answer by bisecting tables of factorials and of their sums below 128!,
 and above it from the bit length with math.lgamma, so no loop here runs
 once per digit on a big integer.
+
+A permutation of at most natbits._RADIX_LEAF entries builds no digit
+list at all.  perm2nat and perm2nth find each entry among the
+still-unused values with bisect_left, refuse it there if it is missing,
+delete it and fold its index (the Lehmer digit) into the value as
+n * r + digit, all in one loop.  nat2perm and nth2perm divide the rank
+by (k-1)!, (k-2)!, ... and pop each quotient's value from the pool in
+the same loop.
 """
 
 from __future__ import annotations
@@ -24,7 +32,15 @@ from math import factorial, lgamma, log
 from operator import mul
 from typing import Sequence
 
-from .natbits import _check_int, _check_natural, _int_text, _list_text, _radix_join, _radix_split
+from .natbits import (
+    _RADIX_LEAF,
+    _check_int,
+    _check_natural,
+    _int_text,
+    _list_text,
+    _radix_join,
+    _radix_split,
+)
 
 _LN2 = log(2)
 # 0!, 1!, ..., 128! and sf(0), sf(1), ..., sf(129): fr and to_sf size
@@ -123,16 +139,56 @@ def nth2perm(size_rank: tuple[int, int]) -> list[int]:
     k = _factorial_size(rank)
     if k > size and (k > size + 1 or rank >= factorial(size)):
         raise OverflowError(f"rank {_int_text(rank)} does not fit a size-{size} permutation")
-    ds = _radix_split(rank, range(1, min(k, size) + 1))
-    # the size - len(ds) high zero digits pick 0, 1, ... in order, unpopped
-    head = size - len(ds)
-    return [*range(head), *(head + v for v in lehmer2perm(ds[::-1]))]
+    return _rank2perm(size, min(k, size), rank)
 
 
 def perm2nth(ps: Sequence[int]) -> tuple[int, int]:
     """Size and lexicographic rank of a permutation; inverse of nth2perm."""
-    ls = perm2lehmer(ps)
-    return len(ls), _radix_join(ls[::-1], range(1, len(ls) + 1))
+    return len(ps), _perm2rank(ps, 0)
+
+
+def _rank2perm(size: int, digits: int, rank: int) -> list[int]:
+    """The size-`size` permutation whose Lehmer code is size - digits zeros,
+    then the `digits` factoradic digits of rank, most significant first.
+
+    The high zero digits pick 0, 1, ... in order, unpopped.  Up to
+    _RADIX_LEAF digits, digit i is split off by a divmod by (digits-1-i)!
+    and picks from the pool in the same loop.
+    """
+    head = size - digits
+    if digits <= _RADIX_LEAF:
+        out = list(range(head))
+        pool = list(range(head, size))
+        for i in range(digits - 1, -1, -1):
+            d, rank = divmod(rank, _FACTORIALS[i])
+            out.append(pool.pop(d))
+        return out
+    ps = lehmer2perm(_radix_split(rank, range(1, digits + 1))[::-1])
+    return [*range(head), *(head + v for v in ps)] if head else ps
+
+
+def _perm2rank(ps: Sequence[int], bump: int) -> int:
+    """The Lehmer digits of ps, each plus bump, read as factoradic digits
+    most significant first: bump 0 gives perm2nth's rank, and bump 1 adds
+    sf(len(ps)) for perm2nat.  Raises ValueError if ps is not a permutation.
+
+    Up to _RADIX_LEAF entries, each digit is looked up, checked and folded
+    into the value in one loop; above, perm2lehmer feeds _radix_join.
+    """
+    k = len(ps)
+    if k > _RADIX_LEAF:
+        return _radix_join([d + bump for d in reversed(perm2lehmer(ps))], range(1, k + 1))
+    pool = list(range(k))
+    n, r = 0, k  # r == len(pool)
+    for v in ps:
+        # as in perm2lehmer: the index of v among the unused values is its digit
+        i = bisect_left(pool, v) if type(v) is int else r
+        if i == r or pool[i] != v:
+            raise ValueError(f"not a permutation of 0..{k - 1}: {_list_text(ps)}")
+        del pool[i]
+        n = n * r + i + bump
+        r -= 1
+    return n
 
 
 def sf(n: int) -> int:
@@ -164,7 +220,7 @@ def to_sf(n: int) -> tuple[int, int]:
 def nat2perm(n: int) -> list[int]:
     """The n-th finite permutation, ordered by size then lexicographically."""
     k, rank = to_sf(n)
-    return lehmer2perm(_radix_split(rank, range(1, k + 1))[::-1])
+    return _rank2perm(k, k, rank)
 
 
 def perm2nat(ps: Sequence[int]) -> int:
@@ -172,5 +228,4 @@ def perm2nat(ps: Sequence[int]) -> int:
 
     sf(size) + lf(lehmer) in one evaluation: digit i of both sums weighs i!.
     """
-    ls = perm2lehmer(ps)
-    return _radix_join([d + 1 for d in reversed(ls)], range(1, len(ls) + 1))
+    return _perm2rank(ps, 1)

@@ -9,6 +9,8 @@ function view of the same bits.
 
 Sets of codes above natbits._LOOP_BITS bits are read and written through
 their ASCII bit string, so every codec here is linear in the bit length.
+Below it, set2nat and fun2nat check each element and OR in its bit in
+one loop.
 """
 
 from __future__ import annotations
@@ -25,24 +27,32 @@ def _check_set(s: Sequence[int]) -> None:
         if type(e) is not int:
             raise TypeError(f"set elements must be ints, got {type(e).__name__}")
         if e <= prev:
-            raise ValueError(f"set elements must be strictly increasing, got {_list_text(s)}")
+            # only the first element meets prev == -1, and it fails by being negative
+            rule = "naturals" if prev < 0 else "strictly increasing"
+            raise ValueError(f"set elements must be {rule}, got {_list_text(s)}")
         prev = e
-    if s and s[0] < 0:
-        raise ValueError(f"set elements must be naturals, got {_list_text(s)}")
 
 
 def set2nat(s: Sequence[int]) -> int:
     """Sum of 2**e over a strictly increasing sequence of naturals."""
-    _check_set(s)
-    return _set2nat(s)
+    if s and (type(s[-1]) is not int or s[-1] >= _LOOP_BITS):
+        _check_set(s)
+        return _set2nat(s)
+    # a valid set ending below _LOOP_BITS has every element there: check
+    # each element and OR its bit in the same pass
+    n, prev = 0, -1
+    for e in s:
+        if type(e) is not int or not prev < e < _LOOP_BITS:
+            _check_set(s)  # the set is bad: this raises for its first bad element
+        n |= 1 << e
+        prev = e
+    return n
 
 
 def _set2nat(s: Sequence[int]) -> int:
-    # s is strictly increasing, so s[-1] fixes the bit length; big sets
-    # mark their elements in a most-significant-first bit string instead
-    # of summing powers of 2
-    if not s or s[-1] < _LOOP_BITS:
-        return sum(1 << e for e in s)
+    # s is strictly increasing and ends at or above _LOOP_BITS, so s[-1]
+    # fixes the bit length: mark the elements in a most-significant-first
+    # bit string instead of summing powers of 2
     top = s[-1]
     buf = bytearray(b"0") * (top + 1)
     for e in s:
@@ -67,7 +77,8 @@ def fun2set(f: Sequence[int]) -> list[int]:
     """Running totals of the values, each bumped by one; strictly increasing."""
     out, acc = [], -1
     for v in f:
-        _check_natural(v)
+        if type(v) is not int or v < 0:
+            _check_natural(v)
         acc += v + 1
         out.append(acc)
     return out
@@ -89,7 +100,15 @@ def _set2fun(s: Sequence[int]) -> list[int]:
 
 def fun2nat(f: Sequence[int]) -> int:
     """Encode a tuple of naturals of any length; [] maps to 0."""
-    return _set2nat(fun2set(f))
+    n, acc = 0, -1
+    for v in f:
+        if type(v) is not int or v < 0:
+            _check_natural(v)
+        acc += v + 1
+        if acc >= _LOOP_BITS:  # past the loop's bits: the bit-string path
+            return _set2nat(fun2set(f))
+        n |= 1 << acc
+    return n
 
 
 def nat2fun(n: int) -> list[int]:

@@ -9,19 +9,32 @@ against them on every natural below 3000, on hypothesis-drawn inputs up
 to 4096 bits and from 4096 to 65536 bits, on exact edges (k! and sf(k)
 plus or minus one) on both sides of the crossover and of the size tables,
 and on long digit lists with digits above their bound.  A timed
-262144-bit round trip guards the cost.
+262144-bit round trip guards the cost.  The one-loop permutation kernels
+are checked against the perm2lehmer/_radix_join and
+_radix_split/lehmer2perm compositions they fuse, on every permutation of
+size at most 7 and around the leaf size, and raise the same errors on
+both sides of it.
 """
 
 import math
 import random
 import time
+from itertools import permutations
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hfcodec.natbits import _RADIX_LEAF, DigitList, from_base, to_base  # noqa: E402
+from hfcodec.natbits import (  # noqa: E402
+    _RADIX_LEAF,
+    DigitList,
+    _list_text,
+    _radix_join,
+    _radix_split,
+    from_base,
+    to_base,
+)
 from hfcodec.permcodec import (  # noqa: E402
     fl,
     fr,
@@ -31,6 +44,7 @@ from hfcodec.permcodec import (  # noqa: E402
     nth2perm,
     perm2lehmer,
     perm2nat,
+    perm2nth,
     rf,
     sf,
     to_sf,
@@ -315,3 +329,95 @@ def test_to_base_result_is_a_plain_digit_list():
             assert type(ds.digits) is tuple
             assert ds == DigitList(base, list(ds))
             assert hash(ds) == hash(DigitList(base, list(ds)))
+
+
+# --- the one-loop permutation kernels against the compositions they fuse -------
+
+def composed_perm2nth(ps):
+    ls = perm2lehmer(ps)
+    return len(ls), _radix_join(ls[::-1], range(1, len(ls) + 1))
+
+
+def composed_perm2nat(ps):
+    ls = perm2lehmer(ps)
+    return _radix_join([d + 1 for d in reversed(ls)], range(1, len(ls) + 1))
+
+
+def composed_nth2perm(size, rank):
+    return lehmer2perm(_radix_split(rank, range(1, size + 1))[::-1])
+
+
+def composed_nat2perm(n):
+    k, rank = to_sf(n)
+    return composed_nth2perm(k, rank)
+
+
+def check_kernels(ps):
+    size, rank = composed_perm2nth(ps)
+    n = composed_perm2nat(ps)
+    assert perm2nth(ps) == (size, rank)
+    assert perm2nat(ps) == n
+    assert nth2perm((size, rank)) == composed_nth2perm(size, rank) == ps
+    assert nat2perm(n) == composed_nat2perm(n) == ps
+
+
+def test_kernels_match_compositions_on_every_permutation_up_to_size_7():
+    for k in range(8):
+        for ps in permutations(range(k)):
+            check_kernels(list(ps))
+
+
+@settings(max_examples=25)
+@given(st.integers(_RADIX_LEAF - 2, _RADIX_LEAF + 2).flatmap(lambda k: st.permutations(range(k))))
+def test_kernels_match_compositions_around_the_leaf_size(ps):
+    check_kernels(ps)
+
+
+def not_a_perm(ps):
+    return ValueError, f"not a permutation of 0..{len(ps) - 1}: {_list_text(ps)}"
+
+
+def natural_error(x):
+    if type(x) is int:
+        return ValueError, f"expected a natural number, got {x}"
+    return TypeError, f"expected a natural number, got {type(x).__name__}"
+
+
+# each bad entry at the end of a permutation of one size below and one above
+# the leaf: bool, float, negative, duplicate and out of range
+BAD_ENTRIES = (True, 1.0, -1, 0, "size")
+BAD_PERMS = [
+    list(range(k - 1)) + [k if bad == "size" else bad]
+    for k in (2, 5, _RADIX_LEAF, _RADIX_LEAF + 2)
+    for bad in BAD_ENTRIES
+] + [[True, 0], [0.0, 1], [1, 0, 1], [0, 1, 2, 2], [2], [-1]]
+
+
+@pytest.mark.parametrize("ps", BAD_PERMS, ids=lambda ps: _list_text(ps))
+def test_bad_permutations_raise_the_same_error_on_both_sides_of_the_leaf(ps):
+    exc, message = not_a_perm(ps)
+    for encode in (perm2nat, perm2nth, perm2lehmer):
+        with pytest.raises(exc) as info:
+            encode(ps)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [True, 1.5, -1, -(1 << 1000)])
+def test_bad_naturals_raise_the_same_error_in_both_decoders(n):
+    exc, message = natural_error(n)
+    with pytest.raises(exc) as info:
+        nat2perm(n)
+    assert str(info.value) == message
+    for size in (3, _RADIX_LEAF + 2):
+        with pytest.raises(exc) as info:
+            nth2perm((size, n))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("size", [0, 3, _RADIX_LEAF, _RADIX_LEAF + 2])
+def test_a_rank_past_size_factorial_overflows_on_both_sides_of_the_leaf(size):
+    rank = math.factorial(size)
+    with pytest.raises(OverflowError) as info:
+        nth2perm((size, rank))
+    assert str(info.value) == f"rank {rank} does not fit a size-{size} permutation"
+    assert nth2perm((size, rank - 1)) == list(range(size))[::-1]

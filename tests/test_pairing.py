@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from hfcodec.natbits import from_rbits, to_base, to_maxbits
+from hfcodec.natbits import _LOOP_BITS, from_rbits, to_base, to_maxbits
 from hfcodec.pairing import (
     bitmerge_pair,
     bitmerge_unpair,
@@ -8,6 +10,7 @@ from hfcodec.pairing import (
     cantor_unpair,
     from_tuple,
     ftuple2nat,
+    nat2ftuple,
     pepis_pair,
     pepis_unpair,
     to_tuple,
@@ -113,3 +116,50 @@ def test_negative_inputs_rejected():
         to_tuple(2, -1)
     with pytest.raises(ValueError):
         from_tuple([1, -1])
+
+
+# --- the one-loop kernels on both sides of _LOOP_BITS ---------------------------
+
+def merge_oracle(ns):
+    k = len(ns)
+    return sum(2 ** (j * k + i) for i, m in enumerate(ns) for j in exponents(m))
+
+
+def test_from_tuple_and_ftuple2nat_equal_naive_sums_on_both_sides_of_the_loop_bits():
+    rng = random.Random(23)
+    for k in range(1, 12):
+        # merges of 0 to about 2 * _LOOP_BITS bits: widths up to 2 * _LOOP_BITS // k
+        for width in range(2 * _LOOP_BITS // k + 2):
+            for _ in range(4):
+                ns = [rng.getrandbits(width) for _ in range(k)]
+                f = merge_oracle(ns)
+                assert from_tuple(ns) == from_tuple(tuple(ns)) == f
+                if f or k > 1:
+                    n = (2 * f + 1) * 2 ** (k - 1) - 1
+                    assert ftuple2nat(ns) == n
+                    assert nat2ftuple(n) == ns
+
+
+def natural_error(x):
+    if type(x) is int:
+        return ValueError, f"expected a natural number, got {x}"
+    return TypeError, f"expected a natural number, got {type(x).__name__}"
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, -1, -(1 << 100)])
+@pytest.mark.parametrize("head", [[], [1], [1 << _LOOP_BITS], [3] * _LOOP_BITS])
+def test_bad_entries_raise_the_same_error_on_both_sides_of_the_loop_bits(head, bad):
+    exc, message = natural_error(bad)
+    for ns in (head + [bad], head + [bad, 1 << _LOOP_BITS], head + [bad, 1]):
+        for f in (from_tuple, ftuple2nat):
+            with pytest.raises(exc) as info:
+                f(ns)
+            assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [False, 0.0, 1.5, True, -1, -3, -(1 << 100)])
+def test_nat2ftuple_refuses_non_naturals(bad):
+    exc, message = natural_error(bad)
+    with pytest.raises(exc) as info:
+        nat2ftuple(bad)
+    assert str(info.value) == message
