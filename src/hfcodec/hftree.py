@@ -18,7 +18,10 @@ for one call, or one enumerate chunk, only (code, id, serial number or
 text -> result); nothing is cached between calls.  So unrank, rank,
 to_dag and hashing cost O(distinct subtrees), not O(nodes), while
 printing stays O(text length): it repeats a shared subtree's text
-instead of walking it again.
+instead of walking it again, and prints a forest that is new but whose
+children all have text already with one join of their texts.  Each
+joined string is appended to the output as it is made, so the joins
+cost no more than the output they write.
 deserialize reads every subtree at most _GROUP_HEIGHT levels tall as one
 regex token and each distinct one once, so the regex engine does
 O(_GROUP_HEIGHT x text) work and Python works per distinct shallow
@@ -424,44 +427,69 @@ def _print(roots: Sequence[Tree], style: RenderStyle, empty: str, atom_prefix: s
 
     Forests print with style's brackets and separator, and as empty when
     they have no children.  Atoms print as atom_prefix and a decimal,
-    checked against ulimit unless it is None.  A forest that the roots
-    hold in several places, on one line or on several, is walked once
-    per call: its first print records the slice of output pieces it made
-    (keyed on id), and each repeat appends that slice joined into one
-    string, joined on the first repeat only.  Repeats never overlap in
-    the output, so the cost stays O(output).
+    checked against ulimit unless it is None; the check runs where each
+    atom object first occurs.  Two memos keyed on id live for this call.
+    text holds a node's text as one string: atoms, empty forests, and
+    forests whose whole text is known.  pending holds the slice of output
+    pieces a walked forest's first print made; on its first repeat the
+    slice is joined into one string and moves to text.  A repeat appends
+    that string, so a node that the roots hold in several places, on one
+    line or on several, is walked at most once.
+
+    A forest met for the first time whose first child has text already
+    has every child looked up in text.  If all of them have text, the
+    forest is printed as one join of their texts, in C, instead of two
+    loop turns per child; otherwise it is walked child by child.  Probing
+    the first child alone first keeps trees that share little from
+    paying a full probe at each new forest.  The cost stays O(output):
+    every joined string is a piece of the output where it is made, and
+    repeats append the same object.  A chain never joins, since a child
+    is printed only after its parent is met: its forests' texts, each
+    holding all those below it, are never built as strings, which would
+    take memory quadratic in its depth.
     """
     open_, separator, close = style.open, style.separator, style.close
+    join = separator.join
     out: list[str] = []
-    printed: dict[int, tuple[int, int] | str] = {}  # id(forest) -> its pieces of out
+    text: dict[int, str] = {}  # id(node) -> its text as one string
+    known = text.get
+    pending: dict[int, tuple[int, int]] = {}  # id(forest) -> its first print's slice of out
     # the newlines between the roots are str items, printed as they are
     stack: list[Tree | str | tuple[int, int]] = ["\n"] * (2 * len(roots) - 1)
     stack[::2] = roots[::-1]
+    append, pop = out.append, stack.pop
     while stack:
-        item = stack.pop()
-        if isinstance(item, Atom):
-            value = item.value if ulimit is None else _atom_value(item, ulimit)
-            out.append(atom_prefix + str(value))
-        elif isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, tuple):  # (id, start): the end of a forest's first print
-            out.append(close)
-            printed[item[0]] = (item[1], len(out))
-        elif not item.children:
-            out.append(empty)
-        else:
-            key = id(item)
-            seen = printed.get(key)
-            if seen is None:
-                stack.append((key, len(out)))
-                out.append(open_)
-                pieces: list[Tree | str] = [separator] * (2 * len(item.children) - 1)
-                pieces[::2] = item.children[::-1]
-                stack.extend(pieces)
+        item = pop()
+        kind = type(item)  # separators, newlines and end marks are exact str and tuple
+        if kind is str:
+            append(item)
+            continue
+        if kind is tuple:  # (id, start): the end of a forest's first print
+            append(close)
+            pending[item[0]] = (item[1], len(out))
+            continue
+        key = id(item)
+        seen = known(key)
+        if seen is None:
+            if isinstance(item, Atom):
+                value = item.value if ulimit is None else _atom_value(item, ulimit)
+                seen = text[key] = atom_prefix + str(value)
+            elif not (children := item.children):
+                seen = text[key] = empty
+            elif key in pending:  # the first repeat of a forest walked below
+                start, end = pending.pop(key)
+                seen = text[key] = "".join(out[start:end])
+            elif id(children[0]) in text and None not in (
+                    parts := list(map(known, map(id, children)))):
+                seen = text[key] = open_ + join(parts) + close
             else:
-                if not isinstance(seen, str):
-                    seen = printed[key] = "".join(out[seen[0]:seen[1]])
-                out.append(seen)
+                stack.append((key, len(out)))
+                append(open_)
+                pieces: list[Tree | str] = [separator] * (2 * len(children) - 1)
+                pieces[::2] = children[::-1]
+                stack.extend(pieces)
+                continue
+        append(seen)
     return "".join(out)
 
 
@@ -748,7 +776,7 @@ def dag_to_dot(dag: Dag, hash_len: int = 8) -> str:
         if node.atom is not None:
             text = f"a{node.atom}"
         else:
-            text = "(" + " ".join(texts[c] for c in node.children) + ")"
+            text = "(" + " ".join(map(texts.__getitem__, node.children)) + ")"
         labels.append(sha256(text.encode("ascii")).hexdigest()[:hash_len])
         for child in node.children:
             if last[child] == node.id:

@@ -319,17 +319,29 @@ def test_dot_output():
     assert hashlib.sha256(b"a3").hexdigest()[:4] in dot
 
 
+def traced_peak(f, *args):
+    """The peak of memory traced while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_dot_memory_is_linear_on_a_chain():
     # hff1 of a power of two is a chain: keeping every distinct subtree's
     # text at once peaked at 65 MB here, for under 0.5 MB of DOT text
-    t = unrank(codec_hff1(), 1 << 8000)
-    tracemalloc.start()
-    try:
-        to_dot(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(to_dot, unrank(codec_hff1(), 1 << 8000))
     assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MB, budget is 16 MB"
+
+
+def test_print_memory_is_linear_on_a_chain():
+    # no forest of a chain takes the one-join path, since its child is printed
+    # after it is met; one string for every forest's text would be about
+    # k * k bytes here, for 16 kB of text (the printer peaked at 1.6 MB)
+    peak = traced_peak(serialize, unrank(codec_hff1(), 1 << 8000))
+    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MB, budget is 8 MB"
 
 
 def test_wrapper_functions_accept_ulimit():
@@ -409,7 +421,7 @@ def check_against_naive(c, n):
     t = unrank(c, n)
     assert t == ref
     assert rank(c, t) == n
-    assert serialize(t) == serialize(ref)
+    check_printers([t, ref], c.ulimit)
     assert to_dot(t) == to_dot(ref)
     assert_fully_shared(t)
     assert_fully_shared(deserialize(serialize(ref)))
@@ -554,6 +566,83 @@ def test_memo_keys_survive_colliding_int_hashes():
     assert [a.value for a in parsed.children] == kids
     assert rank(hff1, wide) == n
     assert_fully_shared(wide)
+
+
+# --- printing: serialize and render against a recursive reference ---------
+
+def ref_print(t, style, ulimit):
+    """render's text of t, or serialize's when style is None: the reference.
+
+    One call per node, each building its text from its children's.
+    """
+    if isinstance(t, Atom):
+        if style is None:
+            return f"a{t.value}"
+        if t.value >= ulimit:
+            raise ValueError(f"atom {t.value} out of range for ulimit {ulimit}")
+        return str(t.value)
+    if style is not None and not t.children and ulimit > 1:
+        return "0"
+    if style is None:
+        open_, separator, close = "(", " ", ")"
+    else:
+        open_, separator, close = style.open, style.separator, style.close
+    return open_ + separator.join([ref_print(c, style, ulimit) for c in t.children]) + close
+
+
+def check_printers(roots, ulimit):
+    """serialize and render of the first root, and of all roots printed
+    with one memo, are the reference's."""
+    with recursion_limit(10_000):
+        want = [ref_print(t, None, ulimit) for t in roots]
+        assert serialize(roots[0]) == want[0]
+        assert hftree._serialize_lines(roots) == "\n".join(want)
+        for style in (SET_STYLE, FUN_STYLE):
+            want = [ref_print(t, style, ulimit) for t in roots]
+            assert render(style, ulimit, roots[0]) == want[0]
+            assert hftree._render_lines(style, ulimit, roots) == "\n".join(want)
+
+
+def test_printers_match_the_reference_on_shared_and_copied_subtrees():
+    e = F()
+    a0, a1 = Atom(0), Atom(1)
+    joined = F(a0, a1)  # met after its atoms are printed: one join
+    walked = F(F(), a0)  # its first child is new: walked
+    copy = F(F(), Atom(0))
+    # the last child joins texts that the repeats of walked and copy made
+    t = F(a0, a1, joined, walked, F(joined, walked, copy), walked, copy, joined, F(walked, copy))
+    for ulimit in (2, 16):
+        check_printers([t], ulimit)
+        check_printers([t, joined, t.children[4], walked, copy, t, a1, e], ulimit)
+    # without atoms, for the ulimits that print an empty forest in brackets
+    t = F(e, F(e), F(e, F(e)), F(F(e), e), F(e, F(e)), F(F(e), F(e)))
+    for ulimit in (0, 1, 2):
+        check_printers([t, t.children[2], e, F(t, t)], ulimit)
+    # a shared tree beside an equal copy that shares nothing, and roots that
+    # share subtrees with each other
+    rng = random.Random(4)
+    for make in TREE_CODECS.values():
+        c = make(2)
+        n = rng.getrandbits(512)
+        t, ref = unrank(c, n), naive_unrank(c, n)[0]
+        check_printers([F(t, ref, t), *hftree._unfold(c, [n, n + 1], None), ref], 2)
+
+
+def test_printers_refuse_a_repeated_out_of_range_atom():
+    # Atom(9) is out of range for ulimit 2 at each place it occurs: alone,
+    # repeated, and beside a forest that took the one-join path
+    bad, a0, a1 = Atom(9), Atom(0), Atom(1)
+    joined = F(a0, a1)
+    for roots in ([F(bad, bad)], [F(a0, a1, joined, F(joined, bad), bad)],
+                  [F(a0, a1), F(joined, joined, F(joined, bad))], [joined, F(a1, a0, bad)]):
+        with pytest.raises(ValueError, match="^atom 9 out of range for ulimit 2$"):
+            ref_print(F(*roots), FUN_STYLE, 2)
+        for style in (SET_STYLE, FUN_STYLE):
+            with pytest.raises(ValueError, match="^atom 9 out of range for ulimit 2$"):
+                hftree._render_lines(style, 2, roots)
+        with pytest.raises(ValueError, match="^atom 9 out of range for ulimit 2$"):
+            render(FUN_STYLE, 2, roots[-1])
+        check_printers(roots, 16)
 
 
 # --- deserialize's grouped pass against its plain pass ----------------------
