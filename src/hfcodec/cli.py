@@ -18,7 +18,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from . import hftree, permcodec, table
-from .natbits import _int_text
+from .natbits import _divmod, _int_text
 
 _DEFAULT_DEPTH_LIMIT = 1_000_000
 
@@ -37,12 +37,15 @@ _HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 # Decimals past the interpreter's int/str digit limit (4300 digits by
 # default) are cut into chunks of _CHUNK digits, the lowest limit the
 # interpreter allows, by the powers 10**(_CHUNK * 2**j) (Brent &
-# Zimmermann, "Modern Computer Arithmetic", 2010, 1.7).  On CPython 3.11
-# both directions are quadratic, as str() and int() are, so they stop at
+# Zimmermann, "Modern Computer Arithmetic", 2010, 1.7).  Input joins the
+# chunks with Karatsuba products and output divides them apart with
+# natbits._divmod, so neither is quadratic, as str() and int() are on
+# CPython 3.11, but both still grow faster than the text, so they stop at
 # _DECIMAL_BITS; hex has no limit and no budget.  On 3.11.7 output took
-# 5 / 75 / 1200 ms at 65536 / 262144 / 1048576 bits, against 7 / 116 /
-# 1860 ms for str() with the limit lifted, and input took 2 / 15 / 130 ms,
-# against 3.5 / 59 / 830 ms for int().
+# 1.8 / 16 / 180 ms at 65536 / 262144 / 1048576 bits (3.4 / 51 / 1030 ms
+# with the built-in divmod), against 7 / 116 / 1860 ms for str() with the
+# limit lifted, and input took 2 / 15 / 130 ms, against 3.5 / 59 / 830 ms
+# for int().
 _DECIMAL_BITS = 1 << 18
 _DECIMAL_DIGITS = int(_DECIMAL_BITS * math.log10(2)) + 1  # of 2**_DECIMAL_BITS - 1
 _CHUNK = sys.int_info.str_digits_check_threshold
@@ -83,7 +86,7 @@ def _chunked_str(n: int, j: int) -> str:
         return str(n)
     if n < _POW10[j]:
         return _chunked_str(n, j - 1)
-    hi, lo = divmod(n, _POW10[j])
+    hi, lo = _divmod(n, _POW10[j])
     return _chunked_str(hi, j - 1) + _chunked_str(lo, j - 1).zfill(_CHUNK << j)
 
 

@@ -10,7 +10,11 @@ splits the rank that to_sf leaves into its k digits directly.
 
 Factoradics split and join the radices 1, 2, 3, ... along a balanced
 binary tree (natbits._radix_split/_radix_join, which keep a
-digit-at-a-time loop for short ones).  fr, to_sf and nth2perm size their
+digit-at-a-time loop for short ones).  The split divides in
+natbits._divmod and the join multiplies, so both are subquadratic in the
+bit length; above the leaf, perm2lehmer and lehmer2perm still take one
+list.pop per entry, which is quadratic in the length of the permutation.
+fr, to_sf and nth2perm size their
 answer by bisecting tables of factorials and of their sums below 128!,
 and above it from the bit length with math.lgamma, so no loop here runs
 once per digit on a big integer.

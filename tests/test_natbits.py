@@ -1,12 +1,17 @@
+import builtins
 import random
 import time
 
 import pytest
 
+from hfcodec import cli, natbits
 from hfcodec.hftree import Atom, Forest, codec_hfs, rank, unrank
-from hfcodec.permcodec import nth2perm
+from hfcodec.permcodec import _factorial_size, fr, nat2perm, nth2perm
 from hfcodec.natbits import (
+    _DIV_LIMIT,
     DigitList,
+    _divmod,
+    _radix_split,
     bitcount,
     from_base,
     from_rbits,
@@ -16,6 +21,11 @@ from hfcodec.natbits import (
     to_rbits,
     to_rbits0,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below skips itself without hypothesis
+    given = None
 
 
 def digits_oracle(base: int, n: int) -> list[int]:
@@ -201,3 +211,70 @@ def test_max_bitcount():
     assert max_bitcount([0]) == 1
     assert max_bitcount([1, 0, 2, 1, 3]) == 2
     assert max_bitcount([255, 3]) == 8
+
+
+# --- _divmod: Burnikel-Ziegler division --------------------------------------
+
+def test_divmod_is_divmod_on_drawn_operands():
+    if given is None:
+        pytest.skip("needs hypothesis")
+
+    # divisors of 1 to 70000 bits and dividends up to three times as long,
+    # so that both odd halvings and the shift for a long quotient occur
+    @settings(max_examples=80)
+    @given(st.integers(1, 70000), st.integers(0, 2**32))
+    def prop(b_bits, seed):
+        rng = random.Random(seed)
+        b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+        for k in range(3):  # a dividend up to k + 1 times as long as b
+            a = rng.getrandbits(rng.randrange(k * b_bits, (k + 1) * b_bits + 1))
+            assert _divmod(a, b) == divmod(a, b)
+
+    prop()
+
+
+@pytest.mark.parametrize("b_bits", [1, 2, 3, 4001, 8191, 65537])
+def test_divmod_edges(b_bits):
+    rng = random.Random(b_bits)
+    for b in (1 << (b_bits - 1), (1 << b_bits) - 1, rng.getrandbits(b_bits) | 1 << (b_bits - 1)):
+        for a in (0, b - 1, b, (b << b_bits) - 1, b << b_bits, (1 << 3 * b_bits) - 1):
+            assert _divmod(a, b) == divmod(a, b)
+
+
+@pytest.mark.parametrize("q_bits", [_DIV_LIMIT - 1, _DIV_LIMIT, _DIV_LIMIT + 1])
+@pytest.mark.parametrize("b_bits", [100, _DIV_LIMIT, 20000])
+def test_divmod_around_the_limit(q_bits, b_bits):
+    rng = random.Random(q_bits * b_bits)
+    b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
+    for q in (1 << (q_bits - 1), (1 << q_bits) - 1, rng.getrandbits(q_bits) | 1 << (q_bits - 1)):
+        for r in (0, b - 1, rng.randrange(b)):
+            assert _divmod(q * b + r, b) == (q, r)
+
+
+def test_no_big_quotient_reaches_the_builtin_divmod(monkeypatch):
+    # the tree cuts of fr, nat2perm and to_base and the CLI's decimal
+    # chunks divide in _divmod, which hands the built-in only short quotients
+    quotient_bits = []
+
+    def spy(a, b):
+        q, r = builtins.divmod(a, b)
+        quotient_bits.append(q.bit_length())
+        return q, r
+
+    monkeypatch.setattr(natbits, "divmod", spy, raising=False)
+    monkeypatch.setattr(cli, "divmod", spy, raising=False)
+    n = random.Random(262144).getrandbits(262144) | 1 << 262143
+    fr(n)
+    nat2perm(n)
+    to_base(10, n)
+    cli._decimal((1 << 262144) - 1)
+    assert quotient_bits and max(quotient_bits) <= _DIV_LIMIT
+
+
+def test_radix_split_equals_the_leaf_loop_at_262144_bits(monkeypatch):
+    n = random.Random(5).getrandbits(262144)
+    factorials = range(1, _factorial_size(n) + 1)
+    thousands = [1000] * (262144 // 9 - 1)  # 1000**size > 2**262144 > n
+    split = [_radix_split(n, factorials), _radix_split(n, thousands)]
+    monkeypatch.setattr(natbits, "_RADIX_LEAF", 1 << 30)  # one leaf: the loop alone
+    assert split == [_radix_split(n, factorials), _radix_split(n, thousands)]
