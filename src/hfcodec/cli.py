@@ -67,13 +67,17 @@ def _over_budget(what: str, hint: str = "") -> UsageError:
 
 
 def _decimal(n: int) -> str:
-    """str(n) for a natural, also past the digit limit up to _DECIMAL_BITS bits."""
+    """str(n) for a natural, also past the digit limit up to _DECIMAL_BITS bits.
+
+    The budget holds whatever the digit limit is, also where it is lifted:
+    one shift tests it, so a small code pays next to nothing.
+    """
+    if n >> _DECIMAL_BITS:
+        raise _over_budget(f"a {n.bit_length()}-bit result")
     try:
         return str(n)
     except ValueError:  # past the digit limit
         pass
-    if n.bit_length() > _DECIMAL_BITS:
-        raise _over_budget(f"a {n.bit_length()}-bit result")
     j = 0
     while _pow10(j) <= n:
         j += 1
@@ -123,13 +127,13 @@ def _quote(text: str) -> str:
 
 def _parse_natural(text: str) -> int:
     # decimal skips the regex: lists parse one short token at a time;
-    # bytes.isdigit scans a long token ~10x faster than str.isdigit
+    # bytes.isdigit scans a long token ~10x faster than str.isdigit.  Up to
+    # _CHUNK digits int() is within every digit limit and the budget; a
+    # longer decimal goes through _big_int's budget even where the limit is
+    # lifted, since int() alone would convert any length
     s = text.strip()
     if s.isascii() and s.encode().isdigit():
-        try:
-            return int(s)
-        except ValueError:  # past the digit limit
-            return _big_int(s)
+        return int(s) if len(s) <= _CHUNK else _big_int(s)
     if not _HEX.fullmatch(s):
         raise UsageError(f"not a natural number: {_quote(text)}")
     return int(s, 16)  # base 16 takes the 0x prefix
@@ -167,10 +171,31 @@ def _depth_limit() -> int:
 
 
 def _format_list(values: Sequence[int]) -> str:
+    # the caller has cleared values of the budget, so str() can refuse one
+    # only past the digit limit
     try:
         return "[" + ",".join(map(str, values)) + "]"
     except ValueError:  # a value past the digit limit
         return "[" + ",".join(map(_decimal, values)) + "]"
+
+
+def _decimals(codes: Sequence[int]) -> str:
+    """Ascending codes in decimal, one per line: the last tests the budget for all."""
+    if not codes[-1] >> _DECIMAL_BITS:
+        try:
+            return "\n".join(map(str, codes))
+        except ValueError:  # a code past the digit limit
+            pass
+    return "\n".join(map(_decimal, codes))
+
+
+def _lists(decode: Callable[[int], Sequence[int]], codes: Sequence[int]) -> str:
+    """Each of the ascending codes' flat decode as a bracketed list, one per line."""
+    # a flat decode's values are at most its code, so the last code clears
+    # every value of the budget, and past it each value is tested
+    if codes[-1] >> _DECIMAL_BITS:
+        return "\n".join(["[" + ",".join(map(_decimal, decode(n))) + "]" for n in codes])
+    return "\n".join([_format_list(decode(n)) for n in codes])
 
 
 def _check_flags(args: argparse.Namespace) -> None:
@@ -203,19 +228,18 @@ CODEC_NAMES = (*table.FLAT, *table.TREE)
 
 
 def _decoder(args: argparse.Namespace, fmt: str) -> Callable[[Sequence[int]], str]:
-    """The function from a run of codes to their output lines, joined by
-    newlines; each command builds it once.
+    """The function from a run of ascending codes to their output lines,
+    joined by newlines; each command builds it once.
 
     A tree codec decodes the run as one unfold and prints it with one
     memo, so a subtree that several lines share is built and walked once.
     decimal echoes the codes without decoding them, for every codec.
     """
     if fmt == "decimal":
-        return lambda codes: "\n".join(map(_decimal, codes))
+        return _decimals
     row = table.TREE.get(args.codec)
     if row is None:
-        decode = table.FLAT[args.codec].decoder(args.arity)
-        return lambda codes: "\n".join([_format_list(decode(n)) for n in codes])
+        return partial(_lists, table.FLAT[args.codec].decoder(args.arity))
     codec, max_depth = row.make(args.ulimit), _depth_limit()
     text = {"tree": hftree._serialize_lines,
             "dot": lambda trees: "\n".join(map(hftree.to_dot, trees)),
@@ -233,6 +257,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise UsageError(f"--sized expects 'SIZE RANK', got {_quote(args.value)}")
         size, rank_ = map(_parse_natural, parts)
+        # its entries are below its length, far inside the budget
         print(_format_list(permcodec.nth2perm((size, rank_))))
         return 0
     n = _parse_natural(args.value)  # a bad value is reported before a bad depth limit
@@ -270,10 +295,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     if args.arity is not None and args.arity != len(values):
         raise UsageError(f"--arity {_int_text(args.arity)} does not match {len(values)} values")
     code_bits = _CODE_BITS.get(args.codec)
-    # a code past the budget has at least _DECIMAL_DIGITS digits, so under
-    # a lower digit limit _decimal is sure to refuse it
-    if (code_bits is not None and (bits := code_bits(values)) > _DECIMAL_BITS
-            and 0 < sys.get_int_max_str_digits() < _DECIMAL_DIGITS):
+    # _decimal would refuse such a code, but only after it is made
+    if code_bits is not None and (bits := code_bits(values)) > _DECIMAL_BITS:
         raise _over_budget(f"a {bits}-bit result")
     print(_decimal(table.FLAT[args.codec].encode(values)))
     return 0

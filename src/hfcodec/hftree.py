@@ -9,7 +9,8 @@ trees are pure nestings of empty forests.
 
 _unfold is the one unfold, of one root (unrank) or of several at once;
 rank, to_dag and Forest hashing are instances of the one post-order
-fold, _fold.
+fold, _fold, which takes one loop step, one memo lookup and one append
+per edge.
 
 Trees share their equal subtrees.  unrank expands each distinct code
 once and deserialize interns each distinct subtree once, so an equal
@@ -25,7 +26,10 @@ cost no more than the output they write.
 deserialize reads every subtree at most _GROUP_HEIGHT levels tall as one
 regex token and each distinct one once, so the regex engine does
 O(_GROUP_HEIGHT x text) work and Python works per distinct shallow
-subtree and per bracket of the taller ones.
+subtree and per bracket of the taller ones; inside a group, each
+distinct atom text is converted once.  dag_to_dot takes one Python
+step per edge of the DAG, to find each node's last parent, and does its
+other work per edge in C.
 
 Five stock codecs are provided: hfs (hereditarily finite sets via the
 Ackermann encoding), hff (finite functions), hff1 (length-tagged
@@ -45,6 +49,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import count, islice
+from operator import add
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import pairing, permcodec, setfun
@@ -310,29 +315,39 @@ def _fold(t: Tree, atom: Callable[[Atom], _R], forest: Callable[[list[_R]], _R])
     results holds its children's values left to right.  A node that t
     holds in several places is folded once: a memo that lives for this
     call only maps id(node) to its value (every node stays alive in t,
-    so ids are not reused), and the work is O(distinct nodes).
+    so ids are not reused), and the work is O(distinct nodes).  Neither
+    callback may return None, which the memo reads as "not folded yet".
+
+    Each open forest is its id, an iterator over its children and the
+    list of their values so far; the innermost one is held in locals and
+    the ones around it on a stack.  An edge costs one loop step, one memo
+    lookup and one append: a miss on an atom folds it on the spot, a miss
+    on a forest opens that forest, and a forest whose iterator runs out
+    is folded and its value handed to the forest around it.
     """
     if isinstance(t, Atom):
         return atom(t)
     done: dict[int, _R] = {}
-    stack: list[tuple[int, tuple[Tree, ...], list[_R]]] = [(id(t), t.children, [])]
+    known = done.get
+    stack: list[tuple[int, Iterator[Tree], list[_R]]] = []
+    key, children, results = id(t), iter(t.children), []
     while True:
-        key, children, results = stack[-1]
-        if len(results) == len(children):
-            stack.pop()
+        for child in children:
+            value = known(id(child))
+            if value is None:
+                if isinstance(child, Atom):
+                    value = done[id(child)] = atom(child)
+                else:
+                    stack.append((key, children, results))
+                    key, children, results = id(child), iter(child.children), []
+                    break
+            results.append(value)
+        else:
             value = done[key] = forest(results)
             if not stack:
                 return value
-            stack[-1][2].append(value)
-            continue
-        child = children[len(results)]
-        key = id(child)
-        if key in done:
-            results.append(done[key])
-        elif isinstance(child, Atom):
-            results.append(done.setdefault(key, atom(child)))
-        else:
-            stack.append((key, child.children, []))
+            key, children, results = stack.pop()
+            results.append(value)
 
 
 def _atom_value(a: Atom, ulimit: int) -> int:
@@ -608,7 +623,8 @@ def _parse(text: str, max_depth: int | None, pattern: re.Pattern[str]) -> Tree:
     nodes: list[Tree] = []  # by serial number
     atoms: dict[int, int] = {}  # _code_key(value) -> serial
     forests: dict[tuple[int, ...], int] = {}  # child serials -> serial
-    # group token -> its serial, and how many levels its brackets nest below its own
+    # group token -> its serial, and how many levels its brackets nest below
+    # its own; an atom inside a group -> its serial and -1
     groups: dict[str, tuple[int, int]] = {}
 
     def fail(message: str, k: int) -> Exception:
@@ -669,28 +685,33 @@ def _read_group(token: str, findall: Callable[..., list[str]], nodes: list[Tree]
 
     Inside a group are atoms, spaces and shorter groups only, so there is
     no bracket to match; anything else raises _Reread, and int("") the
-    ValueError for an 'a' without digits.  The state is passed in rather
-    than closed over, so a parse leaves no reference cycle behind.
+    ValueError for an 'a' without digits.  groups memoises the parts by
+    their text: a group as its serial and height below, an atom as its
+    serial and -1, so a repeated part costs one lookup.  The atom's value
+    is still interned in atoms, so 'a5' and 'a05' are one object.  The
+    state is passed in rather than closed over, so a parse leaves no
+    reference cycle behind.
     """
     children = []
     below = 0
     for part in findall(token, 1, len(token) - 1):
-        if part[0] == "a":
-            value = int(part[1:])
-            key = value if value < _SMALL else _code_key(value)
-            serial = atoms.get(key)
-            if serial is None:
-                serial = atoms[key] = len(nodes)
-                nodes.append(Atom(value))
-        elif part[0] == "(":
-            hit = groups.get(part)
-            if hit is None:
+        hit = groups.get(part)
+        if hit is None:
+            if part[0] == "a":
+                value = int(part[1:])
+                key = value if value < _SMALL else _code_key(value)
+                serial = atoms.get(key)
+                if serial is None:
+                    serial = atoms[key] = len(nodes)
+                    nodes.append(Atom(value))
+                hit = groups[part] = (serial, -1)
+            elif part[0] == "(":
                 hit = groups[part] = _read_group(part, findall, nodes, atoms, forests, groups)
-            serial, child_below = hit
-            if child_below >= below:
-                below = child_below + 1
-        else:
-            raise _Reread
+            else:
+                raise _Reread
+        serial, part_below = hit
+        if part_below >= below:
+            below = part_below + 1
         children.append(serial)
     return _intern(tuple(children), nodes, forests), below
 
@@ -713,7 +734,7 @@ def _parse_error(message: str, text: str, k: int) -> ParseError:
 
 # --- shared-subtree DAG and Graphviz export -----------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DagNode:
     """One distinct subtree: an atom value or an ordered list of child ids."""
 
@@ -722,11 +743,18 @@ class DagNode:
     children: tuple[int, ...]
 
 
+# to_dag sets the slots of each new node, as unrank does for a Forest
+_set_id = DagNode.id.__set__
+_set_atom = DagNode.atom.__set__
+_set_dag_children = DagNode.children.__set__
+
+
 @dataclass(frozen=True)
 class Dag:
     """A tree with structurally identical subtrees merged into shared nodes.
 
-    Node ids are assigned bottom-up, so children always precede parents.
+    Node ids are assigned bottom-up, so children always precede parents,
+    and each node's id is its index in nodes.
     """
 
     root: int
@@ -743,20 +771,32 @@ class Dag:
 
 
 def to_dag(t: Tree) -> Dag:
-    """Merge identical subtrees of t; sharing is exact, keyed on child ids."""
-    interned: dict[tuple, int] = {}
+    """Merge identical subtrees of t; sharing is exact, keyed on child ids.
+
+    An atom is keyed by _code_key of its value and a forest by the tuple
+    of its children's ids, so the two kinds of key never meet.  Nodes are
+    made without the dataclass __init__, as unrank makes forests.
+    """
+    interned: dict[int | tuple[int, ...], int] = {}
+    known = interned.get
     nodes: list[DagNode] = []
 
-    def intern(key: tuple, atom: int | None, children: tuple[int, ...]) -> int:
-        nid = interned.get(key)
+    def intern(key: int | tuple[int, ...], atom: int | None, children: tuple[int, ...]) -> int:
+        nid = known(key)
         if nid is None:
-            nid = len(nodes)
-            interned[key] = nid
-            nodes.append(DagNode(nid, atom, children))
+            nid = interned[key] = len(nodes)
+            node = _new(DagNode)
+            _set_id(node, nid)
+            _set_atom(node, atom)
+            _set_dag_children(node, children)
+            nodes.append(node)
         return nid
 
-    root = _fold(t, lambda a: intern(("a", _code_key(a.value)), a.value, ()),
-                 lambda ids: intern(("f", tuple(ids)), None, tuple(ids)))
+    def forest(ids: list[int]) -> int:
+        children = tuple(ids)
+        return intern(children, None, children)
+
+    root = _fold(t, lambda a: intern(_code_key(a.value), a.value, ()), forest)
     return Dag(root, tuple(nodes))
 
 
@@ -764,29 +804,45 @@ def dag_to_dot(dag: Dag, hash_len: int = 8) -> str:
     """Graphviz digraph with nodes labeled by a hash prefix of their text form.
 
     Edges run from container to element and carry the 0-based child ordinal.
-    A node's text is kept only until its last parent has read it.
+    A node's text is kept only until its last parent has read it: one
+    comprehension step per edge finds each node's last parent, and each
+    parent drops the texts it was the last to read with a loop over those
+    children alone.  A parent's edge lines are one join, in C, of its
+    children's names and the line ends of their ordinals, both made once
+    per call.
     """
     from hashlib import sha256  # here, not at the top: it loads OpenSSL, which import hfcodec need not
 
-    # ids are bottom-up, so the last write is each child's last parent
-    last = {c: node.id for node in dag.nodes for c in node.children}
+    nodes = dag.nodes
+    # ids are bottom-up, so the last write is each child's last parent (the
+    # comprehension took half as long as dict(zip(...)) over chained children)
+    last = {child: node.id for node in nodes for child in node.children}
+    drops: dict[int, list[int]] = {}  # parent -> the children it reads last
+    for child, parent in last.items():
+        drops.setdefault(parent, []).append(child)
     texts: dict[int, str] = {}
+    text_of = texts.__getitem__
     labels = []
-    for node in dag.nodes:  # ids are bottom-up, so child texts already exist
+    for node in nodes:  # ids are bottom-up, so child texts already exist
         if node.atom is not None:
             text = f"a{node.atom}"
         else:
-            text = "(" + " ".join(map(texts.__getitem__, node.children)) + ")"
+            text = "(" + " ".join(map(text_of, node.children)) + ")"
+            for child in drops.get(node.id, ()):
+                del texts[child]
         labels.append(sha256(text.encode("ascii")).hexdigest()[:hash_len])
-        for child in node.children:
-            if last[child] == node.id:
-                texts.pop(child, None)  # a repeated child is dropped once
         texts[node.id] = text
     # lines come after the loop: made inside it, they took 4-9% longer
     lines = ["digraph tree {"]
     lines += [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)]
-    lines += [f'  n{node.id} -> n{child} [label="{ordinal}"];'
-              for node in dag.nodes for ordinal, child in enumerate(node.children)]
+    names = list(map(str, range(len(nodes))))
+    name_of = names.__getitem__
+    widest = max([len(node.children) for node in nodes], default=0)
+    ends = [f' [label="{ordinal}"];' for ordinal in range(widest)]
+    for node in nodes:
+        if node.children:
+            head = f"  n{node.id} -> n"
+            lines.append(head + ("\n" + head).join(map(add, map(name_of, node.children), ends)))
     lines.append("}")
     return "\n".join(lines)
 

@@ -4,10 +4,11 @@
 every run, and ``deadline=None`` keeps a slow or loaded host from
 failing an example on wall time alone.  No example database is written.
 
-The CLI's decimal budget refuses only where the interpreter's int/str
-digit limit would, so the tests pin the default limit whatever
-PYTHONINTMAXSTRDIGITS or -X int_max_str_digits says; a test that
-lifts it does so for its own lines only.
+The CLI's decimal budget holds under any int/str digit limit, but
+str() and int() of a long number fail only under one, and the tests
+expect the default: they pin it whatever PYTHONINTMAXSTRDIGITS or
+-X int_max_str_digits says; a test that lifts it does so for its own
+lines only.
 """
 
 import sys

@@ -8,6 +8,7 @@ for that one call and restored after it.
 
 import random
 import sys
+import time
 import tracemalloc
 from contextlib import contextmanager
 
@@ -153,17 +154,57 @@ def test_a_million_digit_argument_is_refused_before_any_conversion(capsys, monke
                    "budget for decimals; write it in 0x hex\n")
 
 
-def test_the_budget_applies_only_where_the_limit_refuses(capsys):
+def test_the_budget_holds_with_the_limit_lifted(capsys):
+    # with no digit limit, int() and str() alone convert any length, and on
+    # CPython 3.11 they are quadratic: encode '[100000000]' ran until killed
     past = 1 << BUDGET
-    with digit_limit(0):
+    refused = [
+        (["encode", "--codec", "set", "[100000000]"], "a 100000001-bit result", ""),
+        (["encode", "--codec", "set", f"[{BUDGET}]"], f"a {BUDGET + 1}-bit result", ""),
+        (["decode", "--codec", "set", "--format", "decimal", hex(past)],
+         f"a {BUDGET + 1}-bit result", ""),
+        (["decode", "--codec", "tuple", "--arity", "1", hex(past)],
+         f"a {BUDGET + 1}-bit result", ""),
+        (["decode", "--codec", "set", "--format", "decimal", unlimited_str(past)],
+         f"a {BUDGET + 1}-bit input", "; write it in 0x hex"),
+        (["decode", "--codec", "set", "9" * 10 ** 6], "a 1000000-digit input",
+         "; write it in 0x hex"),
+    ]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for argv, what, hint in refused:
+            start = time.monotonic()
+            code, out, err = run_cli(capsys, *argv)
+            elapsed = time.monotonic() - start
+            assert (code, out) == (2, ""), argv[:4]
+            assert err == f"hfcodec: {what} is past the {BUDGET}-bit budget for decimals{hint}\n"
+            assert elapsed < 1, f"{argv[:4]} took {elapsed:.2f}s to be refused"
+        # a 262144-bit decimal still prints, reads back and decodes
+        widest = past >> 1
+        code, out, err = run_cli(capsys, "encode", "--codec", "set", f"[{BUDGET - 1}]")
+        assert (code, out, err) == (0, str(widest) + "\n", "")
         code, out, err = run_cli(capsys, "decode", "--codec", "set", "--format", "decimal",
-                                 hex(past))
-        assert (code, out, err) == (0, str(past) + "\n", "")
-        code, out, err = run_cli(capsys, "decode", "--codec", "set", "--format", "decimal",
-                                 str(past))
-        assert (code, out, err) == (0, str(past) + "\n", "")
-        code, out, err = run_cli(capsys, "encode", "--codec", "set", f"[{BUDGET}]")
-        assert (code, out, err) == (0, str(past) + "\n", "")
+                                 out.strip())
+        assert (code, out, err) == (0, str(widest) + "\n", "")
+        code, out, err = run_cli(capsys, "decode", "--codec", "set", out.strip())
+        assert (code, out, err) == (0, f"[{BUDGET - 1}]\n", "")
+        code, out, err = run_cli(capsys, "decode", "--codec", "tuple", "--arity", "1",
+                                 hex(past - 1))
+        assert (code, out, err) == (0, f"[{past - 1}]\n", "")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_flat_decodes_are_bounded_by_their_code():
+    # the CLI tests the decimal budget of a decoded list on its code alone
+    rng = random.Random(17)
+    for name, row in table.FLAT.items():
+        for arity in row.arities or (None,):
+            decode = row.decoder(arity)
+            for bits in (0, 1, 2, 5, 64, 700):
+                n = rng.getrandbits(bits)
+                assert max(decode(n), default=0) <= n, (name, arity, n)
 
 
 FLAT_CLI = [

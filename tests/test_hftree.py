@@ -1,10 +1,11 @@
 import hashlib
 import random
+import re
 import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
-from itertools import islice
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -13,6 +14,8 @@ from hfcodec.hftree import (
     TREE_CODECS,
     Atom,
     Codec,
+    Dag,
+    DagNode,
     Forest,
     FUN_STYLE,
     ParseError,
@@ -749,3 +752,193 @@ def test_grouped_pass_agrees_with_plain_pass_on_mutations(name):
                 else:
                     assert got == want, (mutated, d)
                     assert_fully_shared(got)
+
+
+# --- the fold: its calls against a naive recursive post-order -----------------
+
+def naive_fold(t, atom, forest):
+    """Post-order recursion, memoised by id: the reference for _fold."""
+    memo = {}
+
+    def go(node):
+        key = id(node)
+        if key not in memo:
+            if isinstance(node, Atom):
+                memo[key] = atom(node)
+            else:
+                memo[key] = forest([go(child) for child in node.children])
+        return memo[key]
+
+    return go(t)
+
+
+def fold_calls(fold, t):
+    """The root value and the atom()/forest() calls fold makes on t, in
+    order; each call returns its own serial number."""
+    calls = []
+
+    def atom(a):
+        calls.append(("atom", id(a)))
+        return len(calls)
+
+    def forest(results):
+        calls.append(("forest", tuple(results)))
+        return len(calls)
+
+    return fold(t, atom, forest), calls
+
+
+def fold_trees():
+    """Hand-built trees with shared and unshared equal subtrees, repeated
+    atom objects and empty forests, then a shared and an unshared decode."""
+    e, a1, a2 = F(), Atom(1), Atom(2)
+    shared = F(a1, e, F(a2))
+    copy = F(Atom(1), F(), F(Atom(2)))  # equal to shared, no object in common
+    yield Atom(3)
+    yield e
+    yield F(e, e, F(e), F())
+    yield F(a1, a1, Atom(1), shared, copy, shared, F(shared, copy), e, F(), a2)
+    yield F(F(F(F(a1))), F(F(F(a1))), a2, F(F(F(a1))))
+    rng = random.Random(12)
+    for make in (codec_hfs, codec_hfp):
+        n = rng.getrandbits(300)
+        yield unrank(make(2), n)
+        yield naive_unrank(make(2), n)[0]
+
+
+def test_fold_calls_match_a_naive_post_order():
+    for t in fold_trees():
+        root, calls = fold_calls(hftree._fold, t)
+        assert (root, calls) == fold_calls(naive_fold, t)
+        assert len(calls) == distinct_objects(t)
+
+
+def test_fold_walks_a_20000_level_chain():
+    leaf = Atom(0)
+    t = leaf
+    for _ in range(20000):
+        t = F(t, leaf)
+    root, calls = fold_calls(hftree._fold, t)
+    # atom(leaf) is call 1 and the innermost forest call 2; each forest
+    # above reads the one below it and the memoised leaf
+    assert calls == [("atom", id(leaf)), *(("forest", (k, 1)) for k in range(1, 20001))]
+    assert root == 20001
+    assert hftree._fold(t, lambda a: 0, lambda heights: 1 + max(heights)) == 20000
+
+
+def test_rank_reports_the_first_bad_atom_in_post_order():
+    c = codec_hfs(5)
+    bad7, bad9 = Atom(7), Atom(9)
+    inner = F(bad7)
+    for t, first in [(bad9, 9), (F(F(Atom(1), bad7), bad9), 7), (F(F(F(bad9)), bad7), 9),
+                     (F(Atom(2), inner, bad9, inner), 7), (F(F(), F(Atom(4), bad9), inner), 9)]:
+        with pytest.raises(ValueError) as exc:
+            rank(c, t)
+        assert str(exc.value) == f"atom {first} out of range for ulimit 5"
+        with pytest.raises(ValueError) as ref:
+            naive_fold(t, lambda a: hftree._atom_value(a, 5), lambda ranks: 5 + c.collapse(ranks))
+        assert str(ref.value) == str(exc.value)
+
+
+# --- DOT output against the earlier exporter, kept here as the reference ------
+
+def ref_to_dag(t):
+    """to_dag by the naive fold, with tagged keys: the reference."""
+    keys, nodes = {}, []
+
+    def intern(key, atom, children):
+        if key not in keys:
+            keys[key] = len(nodes)
+            nodes.append(DagNode(len(nodes), atom, children))
+        return keys[key]
+
+    root = naive_fold(t, lambda a: intern(("a", a.value), a.value, ()),
+                      lambda ids: intern(("f", tuple(ids)), None, tuple(ids)))
+    return Dag(root, tuple(nodes))
+
+
+def ref_dag_to_dot(dag, hash_len=8):
+    """The exporter as it was before its per-edge work moved to C."""
+    last = {c: node.id for node in dag.nodes for c in node.children}
+    texts = {}
+    labels = []
+    for node in dag.nodes:
+        if node.atom is not None:
+            text = f"a{node.atom}"
+        else:
+            text = "(" + " ".join(map(texts.__getitem__, node.children)) + ")"
+        labels.append(hashlib.sha256(text.encode("ascii")).hexdigest()[:hash_len])
+        for child in node.children:
+            if last[child] == node.id:
+                texts.pop(child, None)
+        texts[node.id] = text
+    lines = ["digraph tree {"]
+    lines += [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)]
+    lines += [f'  n{node.id} -> n{child} [label="{ordinal}"];'
+              for node in dag.nodes for ordinal, child in enumerate(node.children)]
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def dot_trees():
+    rng = random.Random(44)
+    for make in (codec_hfs, codec_hfp):
+        for ulimit in (0, 16):
+            yield unrank(make(ulimit), rng.getrandbits(4096))
+    yield unrank(codec_hff1(), rng.getrandbits(16384))
+    yield unrank(codec_hff1(), 1 << 4000)  # a chain 4002 levels deep
+    yield from fold_trees()
+    yield naive_unrank(codec_hff(3), rng.getrandbits(256))[0]
+
+
+def assert_same(got, want):
+    """got == want for two sequences, reported by their first difference:
+    pytest's own diff of two long texts can take minutes."""
+    if got != want:
+        k, (a, b) = next((k, pair) for k, pair in enumerate(zip_longest(got, want))
+                         if pair[0] != pair[1])
+        pytest.fail(f"item {k} differs: {a!r} against {b!r}")
+
+
+def test_dot_is_byte_identical_to_the_reference_exporter():
+    with recursion_limit(20_000):
+        for t in dot_trees():
+            dag = to_dag(t)
+            ref = ref_to_dag(t)
+            assert dag.root == ref.root
+            assert_same(dag.nodes, ref.nodes)
+            assert_same(to_dot(t).split("\n"), ref_dag_to_dot(ref).split("\n"))
+            for hash_len in (4, 64):
+                assert_same(dag_to_dot(dag, hash_len).split("\n"),
+                            ref_dag_to_dot(dag, hash_len).split("\n"))
+    assert dag_to_dot(Dag(0, ())) == ref_dag_to_dot(Dag(0, ())) == "digraph tree {\n}"
+
+
+# --- atoms spelled with leading zeros -------------------------------------------
+
+def test_atom_texts_with_leading_zeros_are_one_atom():
+    big = 2 ** 60 + 3
+    h = hftree._GROUP_HEIGHT
+    deep = "(" * h + "a05" + ")" * h  # a group token h levels tall
+    # one level taller than a group, so its own atoms are top-level tokens
+    text = f"(a5 {deep} a005 (a5 a05 (a005)) a{big} (a0{big} (a{big})) a00{big})"
+    plain = hftree._parse(text, None, hftree._TOKEN)
+    for t in (deserialize(text), hftree._parse(text, None, hftree._GROUPED), plain):
+        atoms = [node for node in subtrees(t) if isinstance(node, Atom)]
+        assert sorted({a.value for a in atoms}) == [5, big]
+        assert len({id(a) for a in atoms}) == 2
+        assert_fully_shared(t)
+        assert t == plain
+    assert serialize(plain) == text.replace("a0", "a").replace("a0", "a")
+
+    rng = random.Random(8)
+    for make in (codec_hfs, codec_hfp):
+        t = unrank(make(16), rng.getrandbits(4096))
+        # each atom written with 0, 1 or 2 leading zeros, chosen per occurrence
+        spelled = re.sub(r"a(\d+)", lambda m: "a" + "0" * rng.randrange(3) + m.group(1),
+                         serialize(t))
+        grouped = hftree._parse(spelled, None, hftree._GROUPED)
+        plain = hftree._parse(spelled, None, hftree._TOKEN)
+        assert grouped == plain == t
+        assert_fully_shared(grouped)
+        assert_fully_shared(plain)
