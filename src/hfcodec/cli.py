@@ -66,14 +66,15 @@ def _over_budget(what: str, hint: str = "") -> UsageError:
     return UsageError(f"{what} is past the {_DECIMAL_BITS}-bit budget for decimals{hint}")
 
 
-def _decimal(n: int) -> str:
+def _decimal(n: int, what: str = "result") -> str:
     """str(n) for a natural, also past the digit limit up to _DECIMAL_BITS bits.
 
     The budget holds whatever the digit limit is, also where it is lifted:
-    one shift tests it, so a small code pays next to nothing.
+    one shift tests it, so a small code pays next to nothing.  Past it, the
+    message calls n a `what`.
     """
     if n >> _DECIMAL_BITS:
-        raise _over_budget(f"a {n.bit_length()}-bit result")
+        raise _over_budget(f"a {n.bit_length()}-bit {what}")
     try:
         return str(n)
     except ValueError:  # past the digit limit
@@ -139,14 +140,31 @@ def _parse_natural(text: str) -> int:
     return int(s, 16)  # base 16 takes the 0x prefix
 
 
+# a list of plain decimals: spaces around ASCII tokens of 1 to _CHUNK digits.
+# Possessive repeats check it in one linear pass, and int() converts each
+# token within every digit limit and the budget
+_PLAIN_LIST = re.compile(f" *+[0-9]{{1,{_CHUNK}}}+ *+(?:, *+[0-9]{{1,{_CHUNK}}}+ *+)*+")
+
+
 def _parse_nat_list(text: str) -> list[int]:
+    """The naturals of a bracketed, comma-separated list.
+
+    The common list, plain decimals and spaces, is checked by one regex
+    fullmatch and converted by one map(int), both in C.  Any other list
+    (hex, other whitespace, empty or longer tokens, signs) is read one
+    token at a time by _parse_natural, which accepts the same tokens and
+    reports the first bad one.
+    """
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise UsageError(f"expected a bracketed list like [1,0,2], got {_quote(text)}")
     inner = s[1:-1].strip()
     if not inner:
         return []
-    return [_parse_natural(tok) for tok in inner.split(",")]
+    tokens = inner.split(",")
+    if _PLAIN_LIST.fullmatch(inner):
+        return list(map(int, tokens))
+    return [_parse_natural(tok) for tok in tokens]
 
 
 def _natural_arg(text: str) -> int:
@@ -171,10 +189,14 @@ def _depth_limit() -> int:
 
 
 def _format_list(values: Sequence[int]) -> str:
-    # the caller has cleared values of the budget, so str() can refuse one
-    # only past the digit limit
+    """values as a bracketed list: one %-format prints every entry, in C.
+
+    The caller has cleared values of the budget, so "%d", like str(), can
+    refuse one only past the digit limit, and then each is printed by
+    _decimal.
+    """
     try:
-        return "[" + ",".join(map(str, values)) + "]"
+        return "[" + ("%d," * len(values) % tuple(values))[:-1] + "]"
     except ValueError:  # a value past the digit limit
         return "[" + ",".join(map(_decimal, values)) + "]"
 
@@ -232,7 +254,8 @@ def _decoder(args: argparse.Namespace, fmt: str) -> Callable[[Sequence[int]], st
     joined by newlines; each command builds it once.
 
     A tree codec decodes the run as one unfold and prints it with one
-    memo, so a subtree that several lines share is built and walked once.
+    memo, so a subtree that several lines share is built and walked once;
+    its atoms print under the decimal budget, as codes do.
     decimal echoes the codes without decoding them, for every codec.
     """
     if fmt == "decimal":
@@ -241,9 +264,11 @@ def _decoder(args: argparse.Namespace, fmt: str) -> Callable[[Sequence[int]], st
     if row is None:
         return partial(_lists, table.FLAT[args.codec].decoder(args.arity))
     codec, max_depth = row.make(args.ulimit), _depth_limit()
-    text = {"tree": hftree._serialize_lines,
-            "dot": lambda trees: "\n".join(map(hftree.to_dot, trees)),
-            "show": partial(hftree._render_lines, row.style, args.ulimit)}[fmt]
+    digits = partial(_decimal, what="atom")
+    text = {"tree": partial(hftree._serialize_lines, digits=digits),
+            "dot": lambda trees: "\n".join([hftree._dag_to_dot(hftree.to_dag(t), digits=digits)
+                                            for t in trees]),
+            "show": partial(hftree._render_lines, row.style, args.ulimit, digits=digits)}[fmt]
     return lambda codes: text(hftree._unfold(codec, codes, max_depth))
 
 

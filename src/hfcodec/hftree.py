@@ -430,20 +430,22 @@ def render(style: RenderStyle, ulimit: int, t: Tree) -> str:
     return _render_lines(style, ulimit, (t,))
 
 
-def _render_lines(style: RenderStyle, ulimit: int, roots: Sequence[Tree]) -> str:
+def _render_lines(style: RenderStyle, ulimit: int, roots: Sequence[Tree],
+                  digits: Callable[[int], str] = str) -> str:
     """render of each root, one per line, printed with one memo."""
     empty = "0" if ulimit > 1 else style.open + style.close
-    return _print(roots, style, empty, "", ulimit)
+    return _print(roots, style, empty, "", ulimit, digits)
 
 
 def _print(roots: Sequence[Tree], style: RenderStyle, empty: str, atom_prefix: str,
-           ulimit: int | None) -> str:
+           ulimit: int | None, digits: Callable[[int], str]) -> str:
     """The printer loop behind render and serialize: each root's text, one per line.
 
     Forests print with style's brackets and separator, and as empty when
-    they have no children.  Atoms print as atom_prefix and a decimal,
+    they have no children.  Atoms print as atom_prefix and digits(value),
     checked against ulimit unless it is None; the check runs where each
-    atom object first occurs.  Two memos keyed on id live for this call.
+    atom object first occurs.  The library prints with str, the CLI with
+    its decimal budget.  Two memos keyed on id live for this call.
     text holds a node's text as one string: atoms, empty forests, and
     forests whose whole text is known.  pending holds the slice of output
     pieces a walked forest's first print made; on its first repeat the
@@ -488,7 +490,7 @@ def _print(roots: Sequence[Tree], style: RenderStyle, empty: str, atom_prefix: s
         if seen is None:
             if isinstance(item, Atom):
                 value = item.value if ulimit is None else _atom_value(item, ulimit)
-                seen = text[key] = atom_prefix + str(value)
+                seen = text[key] = atom_prefix + digits(value)
             elif not (children := item.children):
                 seen = text[key] = empty
             elif key in pending:  # the first repeat of a forest walked below
@@ -551,9 +553,9 @@ def serialize(t: Tree) -> str:
     return _serialize_lines((t,))
 
 
-def _serialize_lines(roots: Sequence[Tree]) -> str:
+def _serialize_lines(roots: Sequence[Tree], digits: Callable[[int], str] = str) -> str:
     """serialize of each root, one per line, printed with one memo."""
-    return _print(roots, FUN_STYLE, "()", "a", None)
+    return _print(roots, FUN_STYLE, "()", "a", None, digits)
 
 
 # one token per match: a bracket, an atom tag with its digits, or any other
@@ -811,6 +813,11 @@ def dag_to_dot(dag: Dag, hash_len: int = 8) -> str:
     children's names and the line ends of their ordinals, both made once
     per call.
     """
+    return _dag_to_dot(dag, hash_len)
+
+
+def _dag_to_dot(dag: Dag, hash_len: int = 8, digits: Callable[[int], str] = str) -> str:
+    """dag_to_dot, with each atom's decimal in the hashed text made by digits."""
     from hashlib import sha256  # here, not at the top: it loads OpenSSL, which import hfcodec need not
 
     nodes = dag.nodes
@@ -825,7 +832,7 @@ def dag_to_dot(dag: Dag, hash_len: int = 8) -> str:
     labels = []
     for node in nodes:  # ids are bottom-up, so child texts already exist
         if node.atom is not None:
-            text = f"a{node.atom}"
+            text = "a" + digits(node.atom)
         else:
             text = "(" + " ".join(map(text_of, node.children)) + ")"
             for child in drops.get(node.id, ()):

@@ -11,10 +11,16 @@ import sys
 import time
 import tracemalloc
 from contextlib import contextmanager
+from functools import partial
 
 import pytest
 
-from hfcodec import cli, permcodec, setfun, table
+from hfcodec import cli, hftree, permcodec, setfun, table
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property tests below skip themselves without hypothesis
+    given = None
 
 BUDGET = cli._DECIMAL_BITS
 CHUNK = cli._CHUNK
@@ -296,3 +302,122 @@ def test_list_errors_keep_their_exit_code_and_message(capsys):
             assert out == cli._decimal(setfun.fun2nat(expected)) + "\n"
         else:
             assert (code, out, err) == (2, "", f"hfcodec: {expected[1]}\n"), text[:60]
+
+
+# --- list text: the one-pass paths against the per-token ones ------------------
+
+LIMITS = [sys.int_info.default_max_str_digits, sys.int_info.str_digits_check_threshold, 0]
+
+
+def per_token(text):
+    """_parse_nat_list of a bracketed text, one _parse_natural per token: the reference."""
+    inner = text.strip()[1:-1].strip()
+    return [cli._parse_natural(tok) for tok in inner.split(",")] if inner else []
+
+
+PLAIN_TOKENS = ["0", "7", "007", " 12", "3 ", "  5  ", "4095", "9" * CHUNK,
+                "0" * (CHUNK - 1) + "8"]
+# tokens the regex leaves to the per-token reader: each is read or refused there
+ODD_TOKENS = ["", " ", "1 2", "0x1f", "0X2A", "\t4", "4\t", "\u00a05", "\u0661",
+              "\u0661\u0662", "\u00b2", "+1", "-1", "1_0", "1.0", "9" * (CHUNK + 1),
+              "0" * CHUNK + "1", "1" + "0" * 4300]
+FIXED_LISTS = ["[]", "[ ]", "[0]", "[ 1 , 2 ]", "[007,0]", "[1,,2]", "[1,]", "[,1]", "[,]",
+               "[1 2]", "[ 3,4 ]\n", "[0x10,1]", "[1,\t2]", "[\u0661]", "[+1]", "[1_0]",
+               "[-1]", "[1,-1]", f"[{'9' * CHUNK}]", f"[{'9' * (CHUNK + 1)}]",
+               f"[1, {'0' * CHUNK}1]", "[" + ",".join(map(str, range(2000))) + "]"]
+FIXED_LISTS += ["[" + ",".join(pair) + "]" for pair in zip(PLAIN_TOKENS * 2, ODD_TOKENS)]
+FIXED_LISTS += ["[" + ",".join(pair) + "]" for pair in zip(ODD_TOKENS, PLAIN_TOKENS * 2)]
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_list_reads_equal_per_token_reads(limit):
+    with digit_limit(limit):
+        for text in FIXED_LISTS:
+            assert outcome(cli._parse_nat_list, text) == outcome(per_token, text), text[:60]
+        if given is None:
+            pytest.skip("needs hypothesis")
+
+        # str() of at most CHUNK digits works under every limit; the zeros
+        # make some tokens longer than CHUNK digits
+        plain = st.builds(lambda left, zeros, n, right: " " * left + "0" * zeros + str(n) + " " * right,
+                          st.integers(0, 2), st.integers(0, 3), st.integers(0, 10 ** CHUNK - 1),
+                          st.integers(0, 2))
+        tokens = st.lists(st.one_of(plain, st.sampled_from(PLAIN_TOKENS + ODD_TOKENS)), max_size=12)
+
+        @given(tokens)
+        def prop(tokens):
+            text = "[" + ",".join(tokens) + "]"
+            assert outcome(cli._parse_nat_list, text) == outcome(per_token, text)
+
+        prop()
+
+
+def test_plain_lists_skip_the_per_token_reader(monkeypatch):
+    def refused(text):
+        raise AssertionError(f"read one token at a time: {text[:20]!r}")
+
+    monkeypatch.setattr(cli, "_parse_natural", refused)
+    values = setfun.nat2set(random.Random(3).getrandbits(65536))
+    assert cli._parse_nat_list("[" + ",".join(map(str, values)) + "]") == values
+    assert cli._parse_nat_list(f"[ 1 ,007 , {'9' * CHUNK}]") == [1, 7, int("9" * CHUNK)]
+
+
+def ref_list(values):
+    with digit_limit(0):
+        return "[" + ",".join(map(str, values)) + "]"
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_one_format_prints_a_list_as_str_does(limit):
+    lists = [[], [0], (5,), [1, 0, 2], list(range(3000)), [10 ** 4299, 10 ** 4300, 0], EDGES]
+    wants = [ref_list(v) for v in lists[:-1]] + ["[" + ",".join(EDGE_TEXTS) + "]"]
+    with digit_limit(limit):
+        for v, want in zip(lists, wants):
+            same = cli._format_list(v) == want  # outside the assert: pytest's diff is slow
+            assert same, (len(v), len(want))
+        if given is None:
+            pytest.skip("needs hypothesis")
+
+        @given(st.lists(st.integers(0, 1 << 64), max_size=40))
+        def prop(values):
+            assert cli._format_list(values) == ref_list(values)
+
+        prop()
+
+
+# --- atoms of tree output: printed under the budget, as codes are ---------------
+
+def test_atoms_print_in_full_up_to_the_budget_and_exit_2_past_it(capsys):
+    # below ulimit a code is an atom, and hfs decodes it to itself
+    ulimit = hex(1 << (BUDGET + 1))
+    widest, past = (1 << BUDGET) - 1, 1 << BUDGET
+    digits = unlimited_str(widest)
+    with digit_limit(0):
+        dot = hftree.to_dot(hftree.Atom(widest))
+    refusal = f"hfcodec: a {BUDGET + 1}-bit atom is past the {BUDGET}-bit budget for decimals\n"
+    for limit in (sys.int_info.default_max_str_digits, 0):
+        with digit_limit(limit):
+            for command, want in (("decode", "a" + digits), ("show", digits), ("dot", dot)):
+                argv = [command, "--codec", "hfs", "--ulimit", ulimit]
+                code, out, err = run_cli(capsys, *argv, hex(widest))
+                same = (code, out, err) == (0, want + "\n", "")
+                assert same, (limit, command, code, err[:200])
+                start = time.monotonic()
+                assert run_cli(capsys, *argv, hex(past)) == (2, "", refusal), (limit, command)
+                assert time.monotonic() - start < 1, (limit, command)
+            # enumerate prints the lines before the atom past the budget
+            code, out, err = run_cli(capsys, "enumerate", "--codec", "hfs", "--ulimit", ulimit,
+                                     hex(widest), "2")
+            same = (code, out, err) == (2, "a" + digits + "\n", refusal)
+            assert same, (limit, code, err[:200])
+
+
+def test_the_library_prints_atoms_with_str():
+    # serialize, render and to_dot have no budget: str() and its digit limit decide
+    atom = hftree.Atom(10 ** 4300)
+    for show in (hftree.serialize, partial(hftree.render, hftree.SET_STYLE, 10 ** 4301),
+                 hftree.to_dot):
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            show(atom)
+    with digit_limit(0):
+        assert hftree.serialize(hftree.Atom(1 << BUDGET)) == "a" + str(1 << BUDGET)

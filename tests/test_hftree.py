@@ -393,6 +393,18 @@ def recursion_limit(limit):
         sys.setrecursionlimit(old)
 
 
+def assert_same(got, want):
+    """got == want for two sequences, reported by their first difference:
+    pytest's own diff of two long texts can take minutes.  Two texts are
+    compared character by character and reported with 20 on each side."""
+    if got != want:
+        k, (a, b) = next((k, pair) for k, pair in enumerate(zip_longest(got, want))
+                         if pair[0] != pair[1])
+        if isinstance(got, str) and isinstance(want, str):
+            a, b = got[max(k - 20, 0):k + 21], want[max(k - 20, 0):k + 21]
+        pytest.fail(f"item {k} differs: {a!r} against {b!r}")
+
+
 def distinct_objects(t):
     seen = set()  # ids stay unique while t keeps every node alive
     stack = [t]
@@ -425,7 +437,7 @@ def check_against_naive(c, n):
     assert t == ref
     assert rank(c, t) == n
     check_printers([t, ref], c.ulimit)
-    assert to_dot(t) == to_dot(ref)
+    assert_same(to_dot(t).split("\n"), to_dot(ref).split("\n"))
     assert_fully_shared(t)
     assert_fully_shared(deserialize(serialize(ref)))
     # the root forest is never refused, so a limit below 1 acts as 1
@@ -598,12 +610,12 @@ def check_printers(roots, ulimit):
     with one memo, are the reference's."""
     with recursion_limit(10_000):
         want = [ref_print(t, None, ulimit) for t in roots]
-        assert serialize(roots[0]) == want[0]
-        assert hftree._serialize_lines(roots) == "\n".join(want)
+        assert_same(serialize(roots[0]), want[0])
+        assert_same(hftree._serialize_lines(roots), "\n".join(want))
         for style in (SET_STYLE, FUN_STYLE):
             want = [ref_print(t, style, ulimit) for t in roots]
-            assert render(style, ulimit, roots[0]) == want[0]
-            assert hftree._render_lines(style, ulimit, roots) == "\n".join(want)
+            assert_same(render(style, ulimit, roots[0]), want[0])
+            assert_same(hftree._render_lines(style, ulimit, roots), "\n".join(want))
 
 
 def test_printers_match_the_reference_on_shared_and_copied_subtrees():
@@ -889,15 +901,6 @@ def dot_trees():
     yield unrank(codec_hff1(), 1 << 4000)  # a chain 4002 levels deep
     yield from fold_trees()
     yield naive_unrank(codec_hff(3), rng.getrandbits(256))[0]
-
-
-def assert_same(got, want):
-    """got == want for two sequences, reported by their first difference:
-    pytest's own diff of two long texts can take minutes."""
-    if got != want:
-        k, (a, b) = next((k, pair) for k, pair in enumerate(zip_longest(got, want))
-                         if pair[0] != pair[1])
-        pytest.fail(f"item {k} differs: {a!r} against {b!r}")
 
 
 def test_dot_is_byte_identical_to_the_reference_exporter():
