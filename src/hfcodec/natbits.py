@@ -76,13 +76,13 @@ class DigitList:
     def __post_init__(self) -> None:
         _check_int(self.base, "base")
         if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
+            raise ValueError(f"base must be >= 2, got {_int_text(self.base)}")
         object.__setattr__(self, "digits", tuple(self.digits))
         for d in self.digits:
             if type(d) is not int:
                 raise TypeError(f"digits must be ints, got {type(d).__name__}")
             if not 0 <= d < self.base:
-                raise ValueError(f"digit {_int_text(d)} out of range for base {self.base}")
+                raise ValueError(f"digit {_int_text(d)} out of range for base {_int_text(self.base)}")
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.digits)
@@ -263,7 +263,7 @@ def to_base(base: int, n: int) -> DigitList:
     """
     _check_int(base, "base")
     if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
+        raise ValueError(f"base must be >= 2, got {_int_text(base)}")
     _check_natural(n)
     if base & (base - 1) == 0:
         code = _FORMAT_CODES.get(base)
@@ -291,7 +291,7 @@ def from_base(base: int, ds: DigitList | Iterable[int]) -> int:
     """
     _check_int(base, "base")
     if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
+        raise ValueError(f"base must be >= 2, got {_int_text(base)}")
     if isinstance(ds, DigitList):
         if ds.base != base:
             raise ValueError(f"digit list carries base {ds.base}, expected {base}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-from .natbits import _LOOP_BITS, _check_int, _check_natural, _rbitstr, _rbitstr2nat
+from .natbits import _LOOP_BITS, _check_int, _check_natural, _int_text, _rbitstr, _rbitstr2nat
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -74,7 +74,7 @@ def to_tuple(k: int, n: int) -> list[int]:
     """
     _check_int(k, "arity")
     if k < 1:
-        raise ValueError(f"arity must be >= 1, got {k}")
+        raise ValueError(f"arity must be >= 1, got {_int_text(k)}")
     _check_natural(n)
     return _deal(k, n)
 

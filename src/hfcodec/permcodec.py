@@ -123,7 +123,7 @@ def lehmer2perm(ls: Sequence[int]) -> list[int]:
     for i, d in enumerate(ls):
         if type(d) is not int or not 0 <= d < len(pool):
             raise ValueError(
-                f"Lehmer digit {d} at position {i} out of range for size {len(ls)}"
+                f"Lehmer digit {_int_text(d)} at position {i} out of range for size {len(ls)}"
             )
         out.append(pool.pop(d))
     return out

@@ -8,14 +8,13 @@ and large-input robustness.
 
 import math
 import random
-import time
-from contextlib import contextmanager
 from itertools import permutations
 
+import model
+from conftest import F, _budget
 from hfcodec import cli, table
 from hfcodec.hftree import (
     Atom,
-    Forest,
     codec_hfs,
     deserialize,
     fun_show,
@@ -67,14 +66,6 @@ from hfcodec.setfun import (
 from hfcodec.selfcheck import round_trips, tree_round_trips
 
 
-@contextmanager
-def _budget(seconds):
-    start = time.monotonic()
-    yield
-    elapsed = time.monotonic() - start
-    assert elapsed < seconds, f"took {elapsed:.2f}s, budget is {seconds}s"
-
-
 def _criterion(num, summary):
     def wrap(fn):
         def run():
@@ -89,10 +80,6 @@ def _criterion(num, summary):
         return run
 
     return wrap
-
-
-def F(*ts):
-    return Forest(ts)
 
 
 @_criterion(1, "golden examples, exact equality, < 1 s")
@@ -148,13 +135,11 @@ def test_criterion_1_goldens():
         assert fun_show1(1234567890, 10) == "(((((0 3)) (((2 0 1))) 1)))"
         assert fun_show2(1234567890, 10) == "(2 0 1 1 0 0 6 1 0 0 1 1 1 0 1 0)"
         assert perm_show(1234567890, 10) == "(1 6 (0) 2 0 3 0 7 5 (0 1) 9 4 8)"
-        # the outermost permutation behind that display, re-ranked from
-        # scratch with plain factorial arithmetic
+        # the outermost permutation behind that display, re-ranked by the
+        # model of the paper (tests/model.py)
         ps = nat2perm(1234567890 - 10)
         assert ps == [1, 6, 11, 2, 0, 3, 10, 7, 5, 12, 9, 4, 8]
-        lehmer = [sum(1 for y in ps[i + 1:] if y < x) for i, x in enumerate(ps)]
-        back = sum(d * math.factorial(len(ps) - 1 - i) for i, d in enumerate(lehmer))
-        assert sum(math.factorial(i) for i in range(len(ps))) + back == 1234567890 - 10
+        assert model.perm2nat(ps) == 1234567890 - 10
 
         first = [unrank(codec_hfs(), n) for n in range(5)]
         assert first == [F(), F(F()), F(F(F())), F(F(), F(F())), F(F(F(F())))]

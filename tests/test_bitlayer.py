@@ -1,26 +1,30 @@
-"""The bit layer against independent bin()-string oracles.
+"""The bit layer and base expansion against the model of the paper (tests/model.py).
 
 Set, function, run-length, tuple, bitmerge and power-of-two-base codecs
-read and write big codes through bit strings; nat2set, set2nat and
-from_tuple keep a word-sized loop for small ones.  Every function is
-checked against an oracle that works on bin() text character by
-character, on both sides of the small-code cutoff (every bit length
-0..80), on hypothesis-drawn inputs up to 4096 bits, and once at 65536
-bits.  A timed 65536-bit round trip guards the linear cost.
+read and write big codes through bit strings; nat2set, set2nat, fun2nat
+and from_tuple keep a word-sized loop for small ones, and other bases
+split along a radix tree.  Every function is checked against the model
+on both sides of the small-code cutoff (every code below 3000 or 5000,
+every bit length 0..80, sets ending at each bit up to past the cutoff,
+and tuples of every arity to 11 whose merge crosses it), on the radix
+tree's edges, on hypothesis-drawn inputs up to 4096 bits and, for the
+bases, from 4096 to 65536 bits, and once at 65536 bits.  A timed
+65536-bit round trip guards the linear cost.
 """
 
 import random
-import time
-from contextlib import contextmanager
-from itertools import groupby
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import model  # noqa: E402
+from conftest import _budget, big_naturals, naturals  # noqa: E402
 from hfcodec.hftree import Atom, Forest, codec_hfs, serialize  # noqa: E402
 from hfcodec.natbits import (  # noqa: E402
+    _LOOP_BITS,
+    _RADIX_LEAF,
     DigitList,
     from_base,
     from_rbits,
@@ -49,118 +53,58 @@ from hfcodec.setfun import (  # noqa: E402
     set2nat,
 )
 
-BASES = (2, 4, 8, 16, 32, 64, 10)
-ARITIES = range(1, 8)
-
-
-# --- oracles: bin() text, one character at a time -----------------------------
-
-def rbits(n):
-    """Bits of n as '0'/'1' text, least significant first; '0' for 0."""
-    return bin(n)[:1:-1]
-
-
-def from_chars(chars):
-    """Evaluate little-endian '0'/'1' characters."""
-    return int("".join(reversed(list(chars))) or "0", 2)
-
-
-def positions(n):
-    return [i for i, c in enumerate(rbits(n)) if c == "1"]
-
-
-def set_value(s):
-    chars = ["0"] * (max(s, default=-1) + 1)
-    for e in s:
-        chars[e] = "1"
-    return from_chars(chars)
-
-
-def gaps(s):
-    out, prev = [], -1
-    for e in s:
-        out.append(e - prev - 1)
-        prev = e
-    return out
-
-
-def runs(n):
-    return [len(list(g)) - 1 for _, g in groupby(rbits(n))] if n else []
-
-
-def runs_value(rs):
-    # the last run is ones and runs alternate below it
-    n = pos = 0
-    for i, c in enumerate(rs):
-        if (len(rs) - 1 - i) % 2 == 0:
-            n |= ((1 << (c + 1)) - 1) << pos
-        pos += c + 1
-    return n
-
-
-def deal(k, n):
-    streams = [[] for _ in range(k)]
-    for pos, c in enumerate(rbits(n)):
-        streams[pos % k].append(c)
-    return [from_chars(s) for s in streams]
-
-
-def merge(ns):
-    k = len(ns)
-    texts = [rbits(m) if m else "" for m in ns]
-    width = max(map(len, texts))
-    return from_chars(t[pos] if pos < len(t) else "0"
-                      for pos in range(width) for t in texts)
-
-
-def digits(base, n):
-    if base == 10:
-        return [int(c) for c in str(n)[::-1]]
-    width = base.bit_length() - 1
-    text = rbits(n)
-    return [from_chars(text[i:i + width]) for i in range(0, len(text), width)]
-
-
-def digits_value(base, ds):
-    if base == 10:
-        return int("".join(map(str, reversed(ds))) or "0")
-    width = base.bit_length() - 1
-    return from_chars("".join(rbits(d).ljust(width, "0") for d in ds))
+# the bases that cut bit strings, the one the CLI prints in, and the ones
+# that split along the radix tree or its leaf loop
+BASES = (2, 3, 4, 7, 8, 10, 16, 32, 36, 64, 1000)
+ARITIES = range(1, 12)
 
 
 # --- one check per function family ---------------------------------------------
 
 def check_sets(n):
-    s = positions(n)
+    s = model.nat2set(n)
     assert nat2set(n) == s
-    assert set2nat(s) == n
-    assert nat2fun(n) == gaps(s)
-    assert fun2nat(gaps(s)) == n
+    assert set2nat(s) == set2nat(tuple(s)) == n
+    f = model.set2fun(s)
+    assert nat2fun(n) == f
+    assert fun2nat(f) == n
+    # any list of naturals is a list of runs
+    assert rle2nat(f) == model.rle2nat(f)
 
 
 def check_runs(n):
-    bits = [int(c) for c in rbits(n)]
+    bits, runs = model.bits(n), model.nat2rle(n)
     assert to_rbits(n) == bits
     assert from_rbits(bits) == n
-    assert nat2rle(n) == runs(n)
-    assert rle2nat(runs(n)) == n
-    assert rle2bits(runs(n)) == (bits if n else [])
+    assert nat2rle(n) == runs
+    assert rle2nat(runs) == n
+    assert rle2bits(runs) == model.rle2bits(runs)
 
 
-def check_tuples(n):
-    for k in ARITIES:
-        t = deal(k, n)
+def check_merge(ns):
+    n = model.from_tuple(ns)
+    assert from_tuple(ns) == from_tuple(tuple(ns)) == n
+    assert to_tuple(len(ns), n) == ns
+    if n or len(ns) > 1:  # [0] has no ftuple code
+        assert ftuple2nat(ns) == model.ftuple2nat(ns)
+        assert nat2ftuple(model.ftuple2nat(ns)) == ns
+
+
+def check_tuples(n, arities=ARITIES):
+    for k in arities:
+        t = model.to_tuple(k, n)
         assert to_tuple(k, n) == t, k
         assert from_tuple(t) == n, k
-    x, y = deal(2, n)
-    assert bitmerge_unpair(n) == (x, y)
-    assert bitmerge_pair((x, y)) == n
+    xy = tuple(model.to_tuple(2, n))
+    assert bitmerge_unpair(n) == xy
+    assert bitmerge_pair(xy) == n
+    assert nat2ftuple(n) == model.nat2ftuple(n)
     assert ftuple2nat(nat2ftuple(n)) == n
 
 
-def check_bases(n):
-    for base in BASES:
-        ds = digits(base, n)
+def check_bases(n, bases=BASES):
+    for base in bases:
+        ds = model.to_base(base, n)
         expanded = to_base(base, n)
         assert list(expanded) == ds, base
         assert from_base(base, expanded) == n, base
@@ -171,89 +115,128 @@ def nat_of_bits(rng, bits):
     return rng.getrandbits(bits) | (1 << (bits - 1)) if bits else 0
 
 
-# --- every bit length across the small-code cutoff -----------------------------
+# --- both sides of the small-code cutoff -----------------------------------------
 
-@pytest.mark.parametrize("bits", range(81))
-def test_every_bit_length_matches_oracle(bits):
-    rng = random.Random(bits)
-    samples = {nat_of_bits(rng, bits), (1 << bits) - 1, (1 << bits) >> 1}
-    for n in samples:
+def test_codes_on_both_sides_of_the_loop_bits_match_the_model():
+    rng = random.Random(17)
+    # every bit length to 80, and sets ending at every bit to past the
+    # cutoff at a few densities
+    codes = set()
+    for bits in range(81):
+        codes |= {nat_of_bits(rng, bits), (1 << bits) - 1, (1 << bits) >> 1}
+    for top in range(_LOOP_BITS + 9):
+        for density in (0.1, 0.5, 0.9):
+            codes.add(model.set2nat([e for e in range(top) if rng.random() < density] + [top]))
+    for n in sorted(codes | set(range(5000))):
         check_sets(n)
+    for n in sorted(codes):
         check_runs(n)
         check_tuples(n)
+    for n in range(3000):
+        check_runs(n)
+        check_tuples(n, (1, 2, 3, 5))
+    # merges of 0 to about 2 * _LOOP_BITS bits: components up to 2 * _LOOP_BITS // k bits
+    for k in ARITIES:
+        for width in range(2 * _LOOP_BITS // k + 2):
+            for _ in range(4):
+                check_merge([rng.getrandbits(width) for _ in range(k)])
+
+
+def test_bases_match_the_model_on_every_bit_length_and_below_3000():
+    rng = random.Random(13)
+    ns = set(range(3000)) | {rng.getrandbits(256) for _ in range(50)}
+    for bits in range(81):
+        ns |= {nat_of_bits(rng, bits), (1 << bits) - 1, (1 << bits) >> 1}
+    for n in sorted(ns):
         check_bases(n)
 
 
-# --- hypothesis properties up to 4096 bits -------------------------------------
+@pytest.mark.parametrize("base", (3, 7, 10, 36, 255, 1000, 10**20))
+def test_base_edges_match_the_model(base):
+    # powers of the base around the radix tree's leaf, and powers of two
+    for e in (1, _RADIX_LEAF - 1, _RADIX_LEAF, _RADIX_LEAF + 1, 500, 1500):
+        p = base ** e
+        check_bases(p - 1, [base])
+        check_bases(p, [base])
+        check_bases(p + 1, [base])
+    for bits in (_RADIX_LEAF, _RADIX_LEAF + 1):
+        check_bases((1 << bits) - 1, [base])
+        check_bases(1 << bits, [base])
 
-@st.composite
-def naturals(draw, max_bits=4096):
-    bits = draw(st.integers(0, max_bits))
-    return draw(st.integers(0, (1 << bits) - 1))
 
+# --- hypothesis properties up to 4096 bits, and from 4096 to 65536 -------------
 
 @given(naturals())
-def test_set_and_fun_codecs_match_oracle(n):
+def test_set_and_fun_codecs_match_the_model(n):
     check_sets(n)
 
 
 @given(st.sets(st.integers(0, 4095)).map(sorted))
 def test_set2nat_on_drawn_sets(s):
-    assert set2nat(s) == set_value(s)
+    assert set2nat(s) == model.set2nat(s)
     assert nat2set(set2nat(s)) == s
 
 
 @given(st.lists(st.integers(0, 300)))
 def test_fun2nat_on_drawn_functions(f):
-    assert fun2nat(f) == set_value([sum(f[:i + 1]) + i for i in range(len(f))])
+    assert fun2nat(f) == model.fun2nat(f)
     assert nat2fun(fun2nat(f)) == f
 
 
 @given(naturals())
-def test_bit_lists_and_runs_match_oracle(n):
+def test_bit_lists_and_runs_match_the_model(n):
     check_runs(n)
 
 
 @given(st.lists(st.integers(0, 100)))
 def test_rle2nat_on_drawn_runs(rs):
-    assert rle2nat(rs) == runs_value(rs)
+    assert rle2nat(rs) == model.rle2nat(rs)
     assert nat2rle(rle2nat(rs)) == rs
 
 
 @given(st.integers(1, 7), naturals())
-def test_to_tuple_matches_oracle(k, n):
-    t = deal(k, n)
+def test_to_tuple_and_bitmerge_match_the_model(k, n):
+    t = model.to_tuple(k, n)
     assert to_tuple(k, n) == t
     assert from_tuple(t) == n
+    xy = tuple(model.to_tuple(2, n))
+    assert bitmerge_unpair(n) == xy
+    assert bitmerge_pair(xy) == n
 
 
 @given(st.lists(naturals(max_bits=600), min_size=1, max_size=7))
 def test_from_tuple_on_drawn_tuples(ns):
-    assert from_tuple(ns) == merge(ns)
-    assert to_tuple(len(ns), from_tuple(ns)) == ns
+    check_merge(ns)
 
 
 @given(naturals())
-def test_bitmerge_matches_oracle(n):
-    x, y = deal(2, n)
-    assert bitmerge_unpair(n) == (x, y)
-    assert bitmerge_pair((x, y)) == n
+def test_bases_match_the_model_up_to_4096_bits(n):
+    check_bases(n)
 
 
-@given(st.sampled_from(BASES), naturals())
-def test_to_base_matches_oracle(base, n):
-    ds = digits(base, n)
-    assert list(to_base(base, n)) == ds
-    assert from_base(base, to_base(base, n)) == n
-    assert from_base(base, ds) == n
+@settings(max_examples=8)
+@given(big_naturals())
+def test_bases_match_the_model_from_4096_to_65536_bits(n):
+    check_bases(n, (3, 10, 36, 1000))
 
 
-@given(st.sampled_from(BASES).flatmap(
-    lambda b: st.tuples(st.just(b), st.lists(st.integers(0, b - 1), max_size=700))))
-def test_from_base_on_drawn_digits(case):
-    base, ds = case
-    assert from_base(base, ds) == digits_value(base, ds)
-    assert from_base(base, DigitList(base, ds)) == digits_value(base, ds)
+def digit_lists(bases, **size):
+    return st.sampled_from(bases).flatmap(
+        lambda b: st.tuples(st.just(b), st.lists(st.integers(0, b - 1), **size)))
+
+
+def test_from_base_on_drawn_digits():
+    def check(case):
+        base, ds = case
+        n = model.from_base(base, ds)
+        assert from_base(base, ds) == n
+        assert from_base(base, DigitList(base, ds)) == n
+
+    # short lists in the bases that cut bit strings, and lists past the
+    # radix tree's leaf in the ones that do not
+    given(digit_lists((2, 4, 8, 10, 16, 32, 64), max_size=700))(check)()
+    settings(max_examples=10)(given(digit_lists(
+        (3, 10, 36, 1000), min_size=_RADIX_LEAF + 1, max_size=6000))(check))()
 
 
 # --- one 65536-bit input per function ------------------------------------------
@@ -261,27 +244,16 @@ def test_from_base_on_drawn_digits(case):
 BIG = nat_of_bits(random.Random(65536), 65536)
 
 
-def test_65536_bits_match_oracle():
+def test_65536_bits_match_the_model():
     check_sets(BIG)
     check_runs(BIG)
-    t3 = deal(3, BIG)
+    t3 = model.to_tuple(3, BIG)
     assert to_tuple(3, BIG) == t3
     assert from_tuple(t3) == BIG
-    x, y = deal(2, BIG)
-    assert bitmerge_unpair(BIG) == (x, y)
-    assert bitmerge_pair((x, y)) == BIG
-    for base in BASES[:-1]:  # base 10 would need more than 4300 decimal digits
-        ds = digits(base, BIG)
-        assert list(to_base(base, BIG)) == ds, base
-        assert from_base(base, ds) == BIG, base
-
-
-@contextmanager
-def _budget(seconds):
-    start = time.monotonic()
-    yield
-    elapsed = time.monotonic() - start
-    assert elapsed < seconds, f"took {elapsed:.2f}s, budget is {seconds}s"
+    xy = tuple(model.to_tuple(2, BIG))
+    assert bitmerge_unpair(BIG) == xy
+    assert bitmerge_pair(xy) == BIG
+    check_bases(BIG, (2, 3, 4, 8, 10, 16, 32, 64))
 
 
 def test_65536_bit_round_trips_stay_linear():

@@ -7,16 +7,8 @@ import tracemalloc
 
 import pytest
 
+from conftest import run_cli
 from hfcodec import cli, selfcheck, table
-
-
-def run_cli(capsys, *argv):
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse reports its own errors this way
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 def test_decode_goldens(capsys):

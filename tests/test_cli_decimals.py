@@ -2,19 +2,20 @@
 
 The CLI prints and reads decimals of up to cli._DECIMAL_BITS bits in
 chunks that each stay below the limit, and refuses longer ones with exit
-2.  Every reference value here is str() or int() with the limit lifted
-for that one call and restored after it.
+2.  Every reference decimal here is the model's (tests/model.py): str()
+with the limit lifted for that one call and restored after it.
 """
 
 import random
 import sys
 import time
 import tracemalloc
-from contextlib import contextmanager
 from functools import partial
 
 import pytest
 
+import model
+from conftest import digit_limit, run_cli
 from hfcodec import cli, hftree, permcodec, setfun, table
 
 try:
@@ -24,30 +25,6 @@ except ImportError:  # the property tests below skip themselves without hypothes
 
 BUDGET = cli._DECIMAL_BITS
 CHUNK = cli._CHUNK
-
-
-@contextmanager
-def digit_limit(limit):
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
-def unlimited_str(n):
-    with digit_limit(0):
-        return str(n)
-
-
-def run_cli(capsys, *argv):
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse reports its own errors this way
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 def edge_values():
@@ -66,7 +43,7 @@ def edge_values():
 
 
 EDGES = list(edge_values())
-EDGE_TEXTS = [unlimited_str(n) for n in EDGES]
+EDGE_TEXTS = [model.decimal(n) for n in EDGES]
 
 
 def test_the_suite_runs_under_the_default_limit():
@@ -88,10 +65,10 @@ def test_exactly_the_budget_prints_and_one_more_bit_exits_2(capsys):
     widest = (1 << BUDGET) - 1
     code, out, err = run_cli(capsys, "decode", "--codec", "set", "--format", "decimal",
                              hex(widest))
-    assert (code, out, err) == (0, unlimited_str(widest) + "\n", "")
+    assert (code, out, err) == (0, model.decimal(widest) + "\n", "")
     code, out, err = run_cli(capsys, "decode", "--codec", "set", "--format", "decimal",
                              out.strip())
-    assert (code, out, err) == (0, unlimited_str(widest) + "\n", "")
+    assert (code, out, err) == (0, model.decimal(widest) + "\n", "")
 
     code, out, err = run_cli(capsys, "decode", "--codec", "set", "--format", "decimal",
                              hex(widest + 1))
@@ -100,7 +77,7 @@ def test_exactly_the_budget_prints_and_one_more_bit_exits_2(capsys):
                    f"{BUDGET}-bit budget for decimals\n")
 
     code, out, err = run_cli(capsys, "decode", "--codec", "set", "--format", "decimal",
-                             unlimited_str(widest + 1))
+                             model.decimal(widest + 1))
     assert (code, out) == (2, "")
     assert err == (f"hfcodec: a {BUDGET + 1}-bit input is past the "
                    f"{BUDGET}-bit budget for decimals; write it in 0x hex\n")
@@ -171,7 +148,7 @@ def test_the_budget_holds_with_the_limit_lifted(capsys):
          f"a {BUDGET + 1}-bit result", ""),
         (["decode", "--codec", "tuple", "--arity", "1", hex(past)],
          f"a {BUDGET + 1}-bit result", ""),
-        (["decode", "--codec", "set", "--format", "decimal", unlimited_str(past)],
+        (["decode", "--codec", "set", "--format", "decimal", model.decimal(past)],
          f"a {BUDGET + 1}-bit input", "; write it in 0x hex"),
         (["decode", "--codec", "set", "9" * 10 ** 6], "a 1000000-digit input",
          "; write it in 0x hex"),
@@ -223,7 +200,7 @@ FLAT_CLI = [
 @pytest.mark.parametrize("codec,flags", FLAT_CLI, ids=[c for c, _ in FLAT_CLI])
 def test_65536_bit_round_trip_through_decimals(capsys, codec, flags):
     n = random.Random(codec).getrandbits(65536) | 1 << 65535
-    decimal = unlimited_str(n)
+    decimal = model.decimal(n)
     code, listed, err = run_cli(capsys, "decode", "--codec", codec, *flags, hex(n))
     assert (code, err) == (0, ""), codec
     code, out, err = run_cli(capsys, "encode", "--codec", codec, *flags, listed.strip())
@@ -238,19 +215,19 @@ def test_16384_bit_tree_ranks_print_in_decimal(capsys, codec):
     code, tree, err = run_cli(capsys, "decode", "--codec", codec, hex(n))
     assert (code, err) == (0, "")
     code, out, err = run_cli(capsys, "encode", "--codec", codec, tree.strip())
-    assert (code, out, err) == (0, unlimited_str(n) + "\n", "")
+    assert (code, out, err) == (0, model.decimal(n) + "\n", "")
 
 
 def test_sized_rank_and_decimal_format_print_past_the_limit(capsys):
     n = int("f" * 4000, 16)
     code, out, err = run_cli(capsys, "decode", "--codec", "hfs", "--format", "decimal",
                              "0x" + "f" * 4000)
-    assert (code, out, err) == (0, unlimited_str(n) + "\n", "")
+    assert (code, out, err) == (0, model.decimal(n) + "\n", "")
 
     perm = permcodec.nth2perm((3000, n))
     code, out, err = run_cli(capsys, "encode", "--codec", "perm", "--sized",
                              "[" + ",".join(map(str, perm)) + "]")
-    assert (code, out, err) == (0, f"3000 {unlimited_str(n)}\n", "")
+    assert (code, out, err) == (0, f"3000 {model.decimal(n)}\n", "")
 
 
 # --- lists with long tokens ---------------------------------------------------
@@ -362,15 +339,11 @@ def test_plain_lists_skip_the_per_token_reader(monkeypatch):
     assert cli._parse_nat_list(f"[ 1 ,007 , {'9' * CHUNK}]") == [1, 7, int("9" * CHUNK)]
 
 
-def ref_list(values):
-    with digit_limit(0):
-        return "[" + ",".join(map(str, values)) + "]"
-
-
 @pytest.mark.parametrize("limit", LIMITS)
 def test_one_format_prints_a_list_as_str_does(limit):
     lists = [[], [0], (5,), [1, 0, 2], list(range(3000)), [10 ** 4299, 10 ** 4300, 0], EDGES]
-    wants = [ref_list(v) for v in lists[:-1]] + ["[" + ",".join(EDGE_TEXTS) + "]"]
+    wants = ["[" + ",".join(map(model.decimal, v)) + "]" for v in lists[:-1]]
+    wants.append("[" + ",".join(EDGE_TEXTS) + "]")
     with digit_limit(limit):
         for v, want in zip(lists, wants):
             same = cli._format_list(v) == want  # outside the assert: pytest's diff is slow
@@ -380,7 +353,7 @@ def test_one_format_prints_a_list_as_str_does(limit):
 
         @given(st.lists(st.integers(0, 1 << 64), max_size=40))
         def prop(values):
-            assert cli._format_list(values) == ref_list(values)
+            assert cli._format_list(values) == "[" + ",".join(map(model.decimal, values)) + "]"
 
         prop()
 
@@ -391,7 +364,7 @@ def test_atoms_print_in_full_up_to_the_budget_and_exit_2_past_it(capsys):
     # below ulimit a code is an atom, and hfs decodes it to itself
     ulimit = hex(1 << (BUDGET + 1))
     widest, past = (1 << BUDGET) - 1, 1 << BUDGET
-    digits = unlimited_str(widest)
+    digits = model.decimal(widest)
     with digit_limit(0):
         dot = hftree.to_dot(hftree.Atom(widest))
     refusal = f"hfcodec: a {BUDGET + 1}-bit atom is past the {BUDGET}-bit budget for decimals\n"

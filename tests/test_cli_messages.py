@@ -6,18 +6,9 @@ after argparse's usage."""
 
 import pytest
 
-from hfcodec import cli
+from conftest import run_cli
 
 ZEROS = "[" + ",".join(["0"] * 20_000) + "]"
-
-
-def run_cli(capsys, *argv):
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:  # argparse reports its own errors this way
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 @pytest.mark.parametrize("argv, tail", [

@@ -1,21 +1,19 @@
-import hashlib
 import random
 import re
-import sys
 import time
 import tracemalloc
-from contextlib import contextmanager
-from itertools import islice, zip_longest
+from itertools import islice
 
 import pytest
 
+import model
+from conftest import F, assert_same, naturals, recursion_limit
 from hfcodec import hftree, pairing
 from hfcodec.hftree import (
     TREE_CODECS,
     Atom,
     Codec,
     Dag,
-    DagNode,
     Forest,
     FUN_STYLE,
     ParseError,
@@ -28,8 +26,6 @@ from hfcodec.hftree import (
     deserialize,
     enumerate_trees,
     fun_show,
-    fun_show1,
-    fun_show2,
     hff2nat,
     hfs2nat,
     nat2hff,
@@ -45,13 +41,9 @@ from hfcodec.hftree import (
 )
 
 try:
-    from hypothesis import given, settings, strategies as st
-except ImportError:  # the property test below skips itself without hypothesis
+    from hypothesis import given, settings
+except ImportError:  # the property tests below skip themselves without hypothesis
     given = None
-
-
-def F(*ts):
-    return Forest(ts)
 
 
 def subtrees(t):
@@ -138,17 +130,13 @@ def test_enumerate_trees():
 
 
 def test_render_goldens():
-    assert set_show(42) == "{{{}},{{},{{}}},{{},{{{}}}}}"
+    # the ulimit-10 goldens of 1234567890 are acceptance criterion 1's
     assert set_show(0) == "{}"
     assert fun_show(0) == "()"
     assert fun_show(1234567890) == (
         "((()) ((())) (()) () (()) (() () ()) () (()) ((())) () ((())) ((())))"
     )
-    assert fun_show(1234567890, 10) == "(3 2 0 1 7 0 1 2 0 2 2)"
-    assert fun_show1(1234567890, 10) == "(((((0 3)) (((2 0 1))) 1)))"
-    assert fun_show2(1234567890, 10) == "(2 0 1 1 0 0 6 1 0 0 1 1 1 0 1 0)"
     assert perm_show(42, 10) == "(3 2 0 1)"
-    assert perm_show(1234567890, 10) == "(1 6 (0) 2 0 3 0 7 5 (0 1) 9 4 8)"
 
 
 def test_render_zero_rule():
@@ -207,6 +195,7 @@ def test_deserialize_errors_carry_positions(text, max_depth, message, pos):
     assert exc.value.position == pos
     assert str(exc.value) == f"{message} (at position {pos})"
     assert exc.value.__context__ is None  # the grouped pass leaves no trace
+    assert outcome(model.deserialize, text, max_depth) == f"ParseError: {exc.value} @{pos}"
 
 
 def test_unrank_depth_cap():
@@ -292,8 +281,7 @@ def test_to_dag_shares_repeats():
 
     t = nat2hfs(42)
     d = to_dag(t)
-    distinct = {serialize(s) for s in subtrees(t)}
-    assert len(d.nodes) == len(distinct) == 6
+    assert len(d.nodes) == len(model.to_dag(model.plain(t))[1]) == 6
     # children are interned before their parents
     for node in d.nodes:
         for child in node.children:
@@ -308,18 +296,6 @@ def test_dag_edges_keep_child_order():
     assert sum(1 for n in d.nodes if n.atom == 1) == 1
     a1 = next(n.id for n in d.nodes if n.atom == 1)
     assert sum(1 for p, o, c in d.edges if c == a1) == 3
-
-
-def test_dot_output():
-    dot = to_dot(F(F(), F()))
-    assert dot.startswith("digraph")
-    assert dot.rstrip().endswith("}")
-    empty_label = hashlib.sha256(b"()").hexdigest()[:8]
-    assert empty_label in dot
-    assert '[label="0"]' in dot and '[label="1"]' in dot
-
-    dot = dag_to_dot(to_dag(Atom(3)), hash_len=4)
-    assert hashlib.sha256(b"a3").hexdigest()[:4] in dot
 
 
 def traced_peak(f, *args):
@@ -372,37 +348,16 @@ def test_bad_ulimit_is_refused_before_decoding(make):
         make(2.0)
 
 
-# --- sharing: results against a naive unrank that shares nothing -------------
+# --- sharing: results against the model, which shares nothing -----------------
 
-def naive_unrank(codec, n):
-    """(tree, forest height), every node built where it occurs: the reference."""
-    u = codec.ulimit
-    if n < u:
-        return Atom(n), 0
-    kids = [naive_unrank(codec, m) for m in codec.expand(n - u)]
-    return F(*[t for t, _ in kids]), 1 + max([h for _, h in kids], default=0)
+def levels(t):
+    """Forest levels of a model tree: 0 for an atom, 1 for an empty forest."""
+    return 0 if isinstance(t, int) else 1 + max([levels(c) for c in t], default=0)
 
 
-@contextmanager
-def recursion_limit(limit):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, limit))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
-def assert_same(got, want):
-    """got == want for two sequences, reported by their first difference:
-    pytest's own diff of two long texts can take minutes.  Two texts are
-    compared character by character and reported with 20 on each side."""
-    if got != want:
-        k, (a, b) = next((k, pair) for k, pair in enumerate(zip_longest(got, want))
-                         if pair[0] != pair[1])
-        if isinstance(got, str) and isinstance(want, str):
-            a, b = got[max(k - 20, 0):k + 21], want[max(k - 20, 0):k + 21]
-        pytest.fail(f"item {k} differs: {a!r} against {b!r}")
+def build(t):
+    """A model tree as hfcodec nodes, each one built where it occurs: nothing shared."""
+    return Atom(t) if isinstance(t, int) else F(*[build(c) for c in t])
 
 
 def distinct_objects(t):
@@ -430,39 +385,42 @@ def depth_limit_raises(c, n, max_depth):
     return False
 
 
-def check_against_naive(c, n):
+def check_against_the_model(c, n):
     with recursion_limit(10_000):  # 1 << k decodes to a k + 2 level hff1 chain
-        ref, height = naive_unrank(c, n)
-    t = unrank(c, n)
-    assert t == ref
-    assert rank(c, t) == n
-    check_printers([t, ref], c.ulimit)
-    assert_same(to_dot(t).split("\n"), to_dot(ref).split("\n"))
+        want = model.unrank(c.name, c.ulimit, n)
+        text = model.serialize(want)
+        t = unrank(c, n)
+        assert_same(model.serialize(model.plain(t)), text)
+        assert rank(c, t) == n
+        assert_same(serialize(t), text)
+        for style in (SET_STYLE, FUN_STYLE):
+            brackets = style.open + style.separator + style.close
+            assert_same(render(style, c.ulimit, t), model.render(brackets, c.ulimit, want))
+        assert_same(to_dot(t).split("\n"), model.to_dot(want).split("\n"))
     assert_fully_shared(t)
-    assert_fully_shared(deserialize(serialize(ref)))
+    assert_fully_shared(deserialize(text))
+    # the DOT text pins to_dag to the model's: the heights can be read off it
+    dag, heights = to_dag(t), []
+    for node in dag.nodes:
+        heights.append(0 if node.atom is not None else
+                       1 + max([heights[k] for k in node.children], default=0))
+    tallest = heights[dag.root]
     # the root forest is never refused, so a limit below 1 acts as 1
-    for d in sorted({0, 1, height - 1, height}):
-        assert depth_limit_raises(c, n, d) == (height > max(d, 1)), d
-
-
-if given is not None:
-    @st.composite
-    def codes(draw, max_bits=4096):
-        bits = draw(st.integers(0, max_bits))
-        return draw(st.integers(0, (1 << bits) - 1))
+    for d in sorted({0, 1, tallest - 1, tallest}):
+        assert depth_limit_raises(c, n, d) == (tallest > max(d, 1)), d
 
 
 @pytest.mark.parametrize("make", TREE_CODECS.values())
 @pytest.mark.parametrize("ulimit", [0, 2, 16])
-def test_shared_unrank_matches_naive_unrank(make, ulimit):
+def test_shared_unrank_matches_the_model(make, ulimit):
     if given is None:
         pytest.skip("needs hypothesis")
     c = make(ulimit)
 
     @settings(max_examples=15)
-    @given(codes())
+    @given(naturals())
     def prop(n):
-        check_against_naive(c, n)
+        check_against_the_model(c, n)
 
     prop()
 
@@ -471,7 +429,7 @@ def test_shared_unrank_matches_naive_unrank(make, ulimit):
 def test_shared_unrank_fixed_codes(make):
     rng = random.Random(5)
     for n in [0, 1, 2, 42, 1 << 64, (1 << 64) - 1, 1 << 300, rng.getrandbits(4096)]:
-        check_against_naive(make(0), n)
+        check_against_the_model(make(0), n)
 
 
 def test_repeat_found_shallow_then_deep_is_depth_checked():
@@ -479,12 +437,12 @@ def test_repeat_found_shallow_then_deep_is_depth_checked():
     # child of the root, then met again below 256 = {8} and 8 = {3}
     c = codec_hfs()
     n = (1 << 3) | (1 << 256)
-    ref, height = naive_unrank(c, n)
-    assert height == 6
+    want = model.unrank("hfs", 0, n)
+    assert levels(want) == 6
     with pytest.raises(RecursionError, match="limit 5"):
         unrank(c, n, max_depth=5)
     t = unrank(c, n, max_depth=6)
-    assert t == ref
+    assert model.plain(t) == want
     three = t.children[0]
     assert three == unrank(c, 3)
     assert t.children[1].children[0].children[0] is three
@@ -583,42 +541,24 @@ def test_memo_keys_survive_colliding_int_hashes():
     assert_fully_shared(wide)
 
 
-# --- printing: serialize and render against a recursive reference ---------
-
-def ref_print(t, style, ulimit):
-    """render's text of t, or serialize's when style is None: the reference.
-
-    One call per node, each building its text from its children's.
-    """
-    if isinstance(t, Atom):
-        if style is None:
-            return f"a{t.value}"
-        if t.value >= ulimit:
-            raise ValueError(f"atom {t.value} out of range for ulimit {ulimit}")
-        return str(t.value)
-    if style is not None and not t.children and ulimit > 1:
-        return "0"
-    if style is None:
-        open_, separator, close = "(", " ", ")"
-    else:
-        open_, separator, close = style.open, style.separator, style.close
-    return open_ + separator.join([ref_print(c, style, ulimit) for c in t.children]) + close
-
+# --- printing: serialize and render against the model's grammar ---------------
 
 def check_printers(roots, ulimit):
     """serialize and render of the first root, and of all roots printed
-    with one memo, are the reference's."""
+    with one memo, are the model's."""
     with recursion_limit(10_000):
-        want = [ref_print(t, None, ulimit) for t in roots]
+        trees = [model.plain(t) for t in roots]
+        want = [model.serialize(t) for t in trees]
         assert_same(serialize(roots[0]), want[0])
         assert_same(hftree._serialize_lines(roots), "\n".join(want))
         for style in (SET_STYLE, FUN_STYLE):
-            want = [ref_print(t, style, ulimit) for t in roots]
+            brackets = style.open + style.separator + style.close
+            want = [model.render(brackets, ulimit, t) for t in trees]
             assert_same(render(style, ulimit, roots[0]), want[0])
             assert_same(hftree._render_lines(style, ulimit, roots), "\n".join(want))
 
 
-def test_printers_match_the_reference_on_shared_and_copied_subtrees():
+def test_printers_match_the_model_on_shared_and_copied_subtrees():
     e = F()
     a0, a1 = Atom(0), Atom(1)
     joined = F(a0, a1)  # met after its atoms are printed: one join
@@ -639,8 +579,8 @@ def test_printers_match_the_reference_on_shared_and_copied_subtrees():
     for make in TREE_CODECS.values():
         c = make(2)
         n = rng.getrandbits(512)
-        t, ref = unrank(c, n), naive_unrank(c, n)[0]
-        check_printers([F(t, ref, t), *hftree._unfold(c, [n, n + 1], None), ref], 2)
+        t, copy = unrank(c, n), build(model.unrank(c.name, 2, n))
+        check_printers([F(t, copy, t), *hftree._unfold(c, [n, n + 1], None), copy], 2)
 
 
 def test_printers_refuse_a_repeated_out_of_range_atom():
@@ -650,8 +590,6 @@ def test_printers_refuse_a_repeated_out_of_range_atom():
     joined = F(a0, a1)
     for roots in ([F(bad, bad)], [F(a0, a1, joined, F(joined, bad), bad)],
                   [F(a0, a1), F(joined, joined, F(joined, bad))], [joined, F(a1, a0, bad)]):
-        with pytest.raises(ValueError, match="^atom 9 out of range for ulimit 2$"):
-            ref_print(F(*roots), FUN_STYLE, 2)
         for style in (SET_STYLE, FUN_STYLE):
             with pytest.raises(ValueError, match="^atom 9 out of range for ulimit 2$"):
                 hftree._render_lines(style, 2, roots)
@@ -660,7 +598,7 @@ def test_printers_refuse_a_repeated_out_of_range_atom():
         check_printers(roots, 16)
 
 
-# --- deserialize's grouped pass against its plain pass ----------------------
+# --- deserialize's grouped and plain passes against the model's parser -------
 
 def test_grouped_tokens_are_the_shallow_subtrees():
     h = hftree._GROUP_HEIGHT
@@ -678,7 +616,7 @@ def test_deserialize_round_trips_fully_shared(name, ulimit):
     c = TREE_CODECS[name](ulimit)
 
     @settings(max_examples=15)
-    @given(codes())
+    @given(naturals())
     def prop(n):
         t = unrank(c, n)
         parsed = deserialize(serialize(t))
@@ -699,20 +637,22 @@ def test_repeat_read_shallow_then_deep_is_depth_checked():
         hftree._parse(text, 5, hftree._GROUPED)
     with pytest.raises(ParseError) as exc:
         deserialize(text, max_depth=5)
-    assert str(exc.value) == str(plain_outcome(text, 5)[1])
+    assert outcome(deserialize, text, 5) == outcome(model.deserialize, text, 5)
     assert deserialize(text, max_depth=6) == unrank(c, n)
 
 
-def parse_outcome(parse, text, max_depth):
-    """The tree a parse returns, or the type, message and position of its error."""
+def outcome(parse, text, max_depth):
+    """The tree parse returns, as the model's data, or its error as one line:
+    type, message and position."""
     try:
-        return parse(text, max_depth)
+        t = parse(text, max_depth)
     except ValueError as exc:  # ParseError is a ValueError, as is int()'s digit limit
-        return type(exc), str(exc), getattr(exc, "position", None)
+        return f"{type(exc).__name__}: {exc} @{getattr(exc, 'position', None)}"
+    return t if parse is model.deserialize else model.plain(t)
 
 
-def plain_outcome(text, max_depth):
-    return parse_outcome(lambda s, d: hftree._parse(s, d, hftree._TOKEN), text, max_depth)
+def plain_pass(text, max_depth):
+    return hftree._parse(text, max_depth, hftree._TOKEN)
 
 
 def nesting(text):
@@ -744,7 +684,7 @@ def mutations(text, rng):
 
 
 @pytest.mark.parametrize("name", sorted(TREE_CODECS))
-def test_grouped_pass_agrees_with_plain_pass_on_mutations(name):
+def test_both_passes_parse_mutations_as_the_model_does(name):
     rng = random.Random(31)
     texts = []
     for ulimit in (0, 2, 16):
@@ -755,34 +695,21 @@ def test_grouped_pass_agrees_with_plain_pass_on_mutations(name):
         depths = [None, *range(nesting(text) + 2)]
         for mutated in mutations(text, rng):
             for d in depths:
-                want = plain_outcome(mutated, d)
-                assert parse_outcome(deserialize, mutated, d) == want, (mutated, d)
+                want = outcome(model.deserialize, mutated, d)
+                # deserialize returns the grouped pass's tree, or else
+                # raises the plain pass's error
+                assert outcome(deserialize, mutated, d) == want, (mutated, d)
                 try:
                     got = hftree._parse(mutated, d, hftree._GROUPED)
                 except (hftree._Reread, ValueError):
-                    assert not isinstance(want, Forest | Atom), (mutated, d)
+                    assert isinstance(want, str), (mutated, d)  # an error
                 else:
-                    assert got == want, (mutated, d)
+                    assert model.plain(got) == want, (mutated, d)
                     assert_fully_shared(got)
+                    assert outcome(plain_pass, mutated, d) == want, (mutated, d)
 
 
-# --- the fold: its calls against a naive recursive post-order -----------------
-
-def naive_fold(t, atom, forest):
-    """Post-order recursion, memoised by id: the reference for _fold."""
-    memo = {}
-
-    def go(node):
-        key = id(node)
-        if key not in memo:
-            if isinstance(node, Atom):
-                memo[key] = atom(node)
-            else:
-                memo[key] = forest([go(child) for child in node.children])
-        return memo[key]
-
-    return go(t)
-
+# --- the fold: each object once, in post-order ----------------------------------
 
 def fold_calls(fold, t):
     """The root value and the atom()/forest() calls fold makes on t, in
@@ -815,13 +742,22 @@ def fold_trees():
     for make in (codec_hfs, codec_hfp):
         n = rng.getrandbits(300)
         yield unrank(make(2), n)
-        yield naive_unrank(make(2), n)[0]
+        yield build(model.unrank(make(2).name, 2, n))
 
 
-def test_fold_calls_match_a_naive_post_order():
+def test_fold_folds_each_object_once_into_the_model_tree():
     for t in fold_trees():
-        root, calls = fold_calls(hftree._fold, t)
-        assert (root, calls) == fold_calls(naive_fold, t)
+        calls = []
+
+        def atom(a):
+            calls.append(a)
+            return a.value
+
+        def forest(values):
+            calls.append(values)
+            return tuple(values)
+
+        assert hftree._fold(t, atom, forest) == model.plain(t)
         assert len(calls) == distinct_objects(t)
 
 
@@ -847,50 +783,9 @@ def test_rank_reports_the_first_bad_atom_in_post_order():
         with pytest.raises(ValueError) as exc:
             rank(c, t)
         assert str(exc.value) == f"atom {first} out of range for ulimit 5"
-        with pytest.raises(ValueError) as ref:
-            naive_fold(t, lambda a: hftree._atom_value(a, 5), lambda ranks: 5 + c.collapse(ranks))
-        assert str(ref.value) == str(exc.value)
 
 
-# --- DOT output against the earlier exporter, kept here as the reference ------
-
-def ref_to_dag(t):
-    """to_dag by the naive fold, with tagged keys: the reference."""
-    keys, nodes = {}, []
-
-    def intern(key, atom, children):
-        if key not in keys:
-            keys[key] = len(nodes)
-            nodes.append(DagNode(len(nodes), atom, children))
-        return keys[key]
-
-    root = naive_fold(t, lambda a: intern(("a", a.value), a.value, ()),
-                      lambda ids: intern(("f", tuple(ids)), None, tuple(ids)))
-    return Dag(root, tuple(nodes))
-
-
-def ref_dag_to_dot(dag, hash_len=8):
-    """The exporter as it was before its per-edge work moved to C."""
-    last = {c: node.id for node in dag.nodes for c in node.children}
-    texts = {}
-    labels = []
-    for node in dag.nodes:
-        if node.atom is not None:
-            text = f"a{node.atom}"
-        else:
-            text = "(" + " ".join(map(texts.__getitem__, node.children)) + ")"
-        labels.append(hashlib.sha256(text.encode("ascii")).hexdigest()[:hash_len])
-        for child in node.children:
-            if last[child] == node.id:
-                texts.pop(child, None)
-        texts[node.id] = text
-    lines = ["digraph tree {"]
-    lines += [f'  n{i} [label="{label}"];' for i, label in enumerate(labels)]
-    lines += [f'  n{node.id} -> n{child} [label="{ordinal}"];'
-              for node in dag.nodes for ordinal, child in enumerate(node.children)]
-    lines.append("}")
-    return "\n".join(lines)
-
+# --- DOT output against the model's definition -----------------------------------
 
 def dot_trees():
     rng = random.Random(44)
@@ -900,21 +795,23 @@ def dot_trees():
     yield unrank(codec_hff1(), rng.getrandbits(16384))
     yield unrank(codec_hff1(), 1 << 4000)  # a chain 4002 levels deep
     yield from fold_trees()
-    yield naive_unrank(codec_hff(3), rng.getrandbits(256))[0]
+    yield build(model.unrank("hff", 3, rng.getrandbits(256)))
 
 
-def test_dot_is_byte_identical_to_the_reference_exporter():
+def test_dot_is_the_models_dot():
     with recursion_limit(20_000):
         for t in dot_trees():
+            want = model.plain(t)
+            root, nodes = model.to_dag(want)
             dag = to_dag(t)
-            ref = ref_to_dag(t)
-            assert dag.root == ref.root
-            assert_same(dag.nodes, ref.nodes)
-            assert_same(to_dot(t).split("\n"), ref_dag_to_dot(ref).split("\n"))
+            assert dag.root == root
+            assert [node.id for node in dag.nodes] == list(range(len(nodes)))
+            assert_same([(node.atom, node.children) for node in dag.nodes], nodes)
+            assert_same(to_dot(t).split("\n"), model.to_dot(want).split("\n"))
             for hash_len in (4, 64):
                 assert_same(dag_to_dot(dag, hash_len).split("\n"),
-                            ref_dag_to_dot(dag, hash_len).split("\n"))
-    assert dag_to_dot(Dag(0, ())) == ref_dag_to_dot(Dag(0, ())) == "digraph tree {\n}"
+                            model.to_dot(want, hash_len).split("\n"))
+    assert dag_to_dot(Dag(0, ())) == "digraph tree {\n}"
 
 
 # --- atoms spelled with leading zeros -------------------------------------------
@@ -931,7 +828,7 @@ def test_atom_texts_with_leading_zeros_are_one_atom():
         assert sorted({a.value for a in atoms}) == [5, big]
         assert len({id(a) for a in atoms}) == 2
         assert_fully_shared(t)
-        assert t == plain
+        assert model.plain(t) == model.deserialize(text)
     assert serialize(plain) == text.replace("a0", "a").replace("a0", "a")
 
     rng = random.Random(8)
@@ -942,6 +839,7 @@ def test_atom_texts_with_leading_zeros_are_one_atom():
                          serialize(t))
         grouped = hftree._parse(spelled, None, hftree._GROUPED)
         plain = hftree._parse(spelled, None, hftree._TOKEN)
-        assert grouped == plain == t
+        want = model.deserialize(spelled)
+        assert model.plain(grouped) == model.plain(plain) == want == model.plain(t)
         assert_fully_shared(grouped)
         assert_fully_shared(plain)

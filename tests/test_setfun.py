@@ -1,9 +1,10 @@
 import random
 import tracemalloc
-from itertools import accumulate
 
 import pytest
 
+import model
+from conftest import natural_error
 from hfcodec.natbits import _LOOP_BITS
 from hfcodec.setfun import (
     bits2rle,
@@ -16,11 +17,6 @@ from hfcodec.setfun import (
     set2fun,
     set2nat,
 )
-
-
-def test_nat2set_matches_binary_string():
-    for n in range(5000):
-        assert nat2set(n) == [i for i, c in enumerate(bin(n)[2:][::-1]) if c == "1"]
 
 
 def test_set2nat_powers_of_two():
@@ -40,11 +36,8 @@ def test_fun2set_is_shifted_prefix_sum():
     rng = random.Random(13)
     for _ in range(500):
         f = [rng.randint(0, 30) for _ in range(rng.randint(0, 15))]
-        expected = [s - 1 for s in accumulate(v + 1 for v in f)]
         got = fun2set(f)
-        assert got == expected
-        assert len(got) == len(f)
-        assert all(a < b for a, b in zip(got, got[1:]))
+        assert got == model.fun2set(f)
         assert set2fun(got) == f
 
 
@@ -80,44 +73,7 @@ def test_negative_inputs_rejected():
         fun2set([1, -2])
 
 
-# --- the one-loop kernels on both sides of _LOOP_BITS ---------------------------
-
-def random_sets(rng):
-    # every top element from 0 to _LOOP_BITS + 8, so codes of 1 to
-    # _LOOP_BITS + 9 bits, each at a few densities
-    for top in range(_LOOP_BITS + 9):
-        for density in (0.1, 0.5, 0.9):
-            yield [e for e in range(top) if rng.random() < density] + [top]
-
-
-def test_set2nat_equals_a_naive_sum_on_both_sides_of_the_loop_bits():
-    rng = random.Random(17)
-    assert set2nat([]) == 0
-    for s in random_sets(rng):
-        assert set2nat(s) == sum(2 ** e for e in s)
-        assert set2nat(tuple(s)) == sum(2 ** e for e in s)
-
-
-def test_fun2nat_and_rle2nat_equal_naive_sums_on_both_sides_of_the_loop_bits():
-    rng = random.Random(19)
-    assert fun2nat([]) == rle2nat([]) == 0
-    for s in random_sets(rng):
-        f = [e - p - 1 for p, e in zip([-1] + s, s)]  # gaps: fun2set(f) == s
-        assert fun2nat(f) == sum(2 ** e for e in s)
-        # runs alternate and the last is ones: run i is ones iff k - 1 - i is even
-        k, bits, at = len(f), 0, 0
-        for i, c in enumerate(f):
-            if (k - 1 - i) % 2 == 0:
-                bits += sum(2 ** j for j in range(at, at + c + 1))
-            at += c + 1
-        assert rle2nat(f) == bits
-
-
-def natural_error(x):
-    if type(x) is int:
-        return ValueError, f"expected a natural number, got {x}"
-    return TypeError, f"expected a natural number, got {type(x).__name__}"
-
+# --- bad input on both sides of _LOOP_BITS ----------------------------------------
 
 BIG = _LOOP_BITS + 8
 

@@ -14,13 +14,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import naturals  # noqa: E402
 from hfcodec import cli, hftree, selfcheck, table  # noqa: E402
-
-
-@st.composite
-def naturals(draw, max_bits):
-    bits = draw(st.integers(0, max_bits))
-    return draw(st.integers(0, (1 << bits) - 1))
 
 
 # the tuple row runs at each of its arities
