@@ -331,10 +331,14 @@ def to_dag(t):
 
 
 def to_dot(t, hash_len=8):
-    """Graphviz text: a node per distinct subtree, labelled by the sha256 prefix
-    of its serialize text, then each forest's edges to its children, labelled
-    by child ordinal."""
-    texts, nodes = [], to_dag(t)[1]
+    return dag_to_dot(to_dag(t), hash_len)
+
+
+def dag_to_dot(dag, hash_len=8):
+    """Graphviz text of to_dag's output: a node per distinct subtree, labelled
+    by the sha256 prefix of its serialize text, then each forest's edges to
+    its children, labelled by child ordinal."""
+    texts, nodes = [], dag[1]
     for atom, children in nodes:  # children come before their parents
         texts.append(f"a{atom}" if atom is not None else
                      "(" + " ".join([texts[c] for c in children]) + ")")

@@ -801,16 +801,15 @@ def dot_trees():
 def test_dot_is_the_models_dot():
     with recursion_limit(20_000):
         for t in dot_trees():
-            want = model.plain(t)
-            root, nodes = model.to_dag(want)
+            want = model.to_dag(model.plain(t))
             dag = to_dag(t)
-            assert dag.root == root
-            assert [node.id for node in dag.nodes] == list(range(len(nodes)))
-            assert_same([(node.atom, node.children) for node in dag.nodes], nodes)
-            assert_same(to_dot(t).split("\n"), model.to_dot(want).split("\n"))
+            assert dag.root == want[0]
+            assert [node.id for node in dag.nodes] == list(range(len(want[1])))
+            assert_same([(node.atom, node.children) for node in dag.nodes], want[1])
+            assert_same(to_dot(t).split("\n"), model.dag_to_dot(want).split("\n"))
             for hash_len in (4, 64):
                 assert_same(dag_to_dot(dag, hash_len).split("\n"),
-                            model.to_dot(want, hash_len).split("\n"))
+                            model.dag_to_dot(want, hash_len).split("\n"))
     assert dag_to_dot(Dag(0, ())) == "digraph tree {\n}"
 
 
