@@ -164,6 +164,8 @@ def test_serialize_goldens():
 
 def test_deserialize_is_lenient_about_spacing():
     assert deserialize("( a1  a2 )") == F(Atom(1), Atom(2))
+    for text in ("(a1a2)", "( a1   a2 )"):  # the model's tokens need no spaces between them
+        assert model.plain(deserialize(text)) == model.deserialize(text) == (1, 2)
     assert deserialize(" () ") == F()
     assert deserialize("a7") == Atom(7)
 
