@@ -117,7 +117,8 @@ def nat_of_bits(rng, bits):
 
 # --- both sides of the small-code cutoff -----------------------------------------
 
-def test_codes_on_both_sides_of_the_loop_bits_match_the_model():
+def loop_bit_inputs():
+    """The inputs on both sides of _LOOP_BITS, by the bit length of their code."""
     rng = random.Random(17)
     # every bit length to 80, and sets ending at every bit to past the
     # cutoff at a few densities
@@ -127,28 +128,41 @@ def test_codes_on_both_sides_of_the_loop_bits_match_the_model():
     for top in range(_LOOP_BITS + 9):
         for density in (0.1, 0.5, 0.9):
             codes.add(model.set2nat([e for e in range(top) if rng.random() < density] + [top]))
-    for n in sorted(codes | set(range(5000))):
+    # merges of 0 to about 2 * _LOOP_BITS bits: components up to 2 * _LOOP_BITS // k bits
+    merges = [[rng.getrandbits(width) for _ in range(k)]
+              for k in ARITIES for width in range(2 * _LOOP_BITS // k + 2) for _ in range(4)]
+    lengths = [model.from_tuple(ns).bit_length() for ns in merges]
+    return [([n for n in sorted(codes) if n.bit_length() == bits],
+             [ns for ns, length in zip(merges, lengths) if length == bits]) for bits in range(81)]
+
+
+LOOP_BIT_INPUTS = loop_bit_inputs()
+
+
+@pytest.mark.parametrize("bits", range(81))
+def test_codes_on_both_sides_of_the_loop_bits_match_the_model(bits):
+    codes, merges = LOOP_BIT_INPUTS[bits]
+    small = range((1 << bits) >> 1, min(1 << bits, 5000))  # the codes below 5000 of this length
+    for n in sorted(set(codes) | set(small)):
         check_sets(n)
-    for n in sorted(codes):
+    for n in codes:
         check_runs(n)
         check_tuples(n)
-    for n in range(3000):
+    for n in range(small.start, min(small.stop, 3000)):
         check_runs(n)
         check_tuples(n, (1, 2, 3, 5))
-    # merges of 0 to about 2 * _LOOP_BITS bits: components up to 2 * _LOOP_BITS // k bits
-    for k in ARITIES:
-        for width in range(2 * _LOOP_BITS // k + 2):
-            for _ in range(4):
-                check_merge([rng.getrandbits(width) for _ in range(k)])
+    for ns in merges:
+        check_merge(ns)
 
 
-def test_bases_match_the_model_on_every_bit_length_and_below_3000():
+@pytest.mark.parametrize("base", BASES)
+def test_bases_match_the_model_on_every_bit_length_and_below_3000(base):
     rng = random.Random(13)
     ns = set(range(3000)) | {rng.getrandbits(256) for _ in range(50)}
     for bits in range(81):
         ns |= {nat_of_bits(rng, bits), (1 << bits) - 1, (1 << bits) >> 1}
     for n in sorted(ns):
-        check_bases(n)
+        check_bases(n, [base])
 
 
 @pytest.mark.parametrize("base", (3, 7, 10, 36, 255, 1000, 10**20))
@@ -196,12 +210,7 @@ def test_rle2nat_on_drawn_runs(rs):
 
 @given(st.integers(1, 7), naturals())
 def test_to_tuple_and_bitmerge_match_the_model(k, n):
-    t = model.to_tuple(k, n)
-    assert to_tuple(k, n) == t
-    assert from_tuple(t) == n
-    xy = tuple(model.to_tuple(2, n))
-    assert bitmerge_unpair(n) == xy
-    assert bitmerge_pair(xy) == n
+    check_tuples(n, [k])
 
 
 @given(st.lists(naturals(max_bits=600), min_size=1, max_size=7))
