@@ -13,7 +13,9 @@ arbitrary length by folding the length into a pepis pair.  The streams
 are strided slices of the bit string, linear in the bit length;
 ``to_tuple`` slices at every size, while ``from_tuple`` merges at most
 natbits._LOOP_BITS bits with one loop that checks each component and ORs
-in its set bits.
+in its set bits.  A tuple of one component is that component, so arity 1
+builds no bit string in either direction; ``nat2ftuple`` deals every even
+code at that arity.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ def to_tuple(k: int, n: int) -> list[int]:
 
 def _deal(k: int, n: int) -> list[int]:
     """to_tuple on a checked arity and natural."""
+    if k == 1:
+        return [n]
     bs = _rbitstr(n)
     return [_rbitstr2nat(bs[i::k]) for i in range(k)]
 
@@ -92,6 +96,11 @@ def from_tuple(ns: Sequence[int]) -> int:
     result's bit string.
     """
     k = len(ns)
+    if k == 1:
+        m = ns[0]
+        if type(m) is not int or m < 0:
+            _check_natural(m)
+        return m
     if k < 1:
         raise ValueError("cannot merge an empty tuple")
     # a merge of at most _LOOP_BITS bits loops over the set bits, checking

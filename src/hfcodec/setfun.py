@@ -9,8 +9,9 @@ function view of the same bits.
 
 Sets of codes above natbits._LOOP_BITS bits are read and written through
 their ASCII bit string, so every codec here is linear in the bit length.
-Below it, set2nat and fun2nat check each element and OR in its bit in
-one loop.
+Below it, nat2set concatenates the bit positions of each byte of the
+code from tables built at import, and set2nat and fun2nat check each
+element and OR in its bit in one loop.
 """
 
 from __future__ import annotations
@@ -60,17 +61,33 @@ def _set2nat(s: Sequence[int]) -> int:
     return int(buf, 2)
 
 
+def _byte_positions(low: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the positions of the set bits of b << low, for every byte b."""
+    table = [()]
+    for i in range(low, low + 8):  # the bytes with bit i set follow those without
+        table += [t + (i,) for t in table]
+    return tuple(table)
+
+
+# A code of at most _LOOP_BITS bits reads its set as the concatenation of
+# one table entry per byte; nat2set unrolls that over the four tables, and
+# the unpacking fails at import if _LOOP_BITS is not 32.
+_B0, _B1, _B2, _B3 = map(_byte_positions, range(0, _LOOP_BITS, 8))
+
+
 def nat2set(n: int) -> list[int]:
     """Positions of the set bits of n, in increasing order."""
-    _check_natural(n)
+    if type(n) is not int or n < 0:
+        _check_natural(n)
+    if n < 0x100:
+        return [*_B0[n]]
+    if n < 0x10000:
+        return [*_B0[n & 255], *_B1[n >> 8]]
+    if n < 0x1000000:
+        return [*_B0[n & 255], *_B1[n >> 8 & 255], *_B2[n >> 16]]
     if int.bit_length(n) > _LOOP_BITS:
         return list(compress(count(), _rbitstr(n).translate(_CHAR_VALUES)))
-    out = []
-    while n:
-        low = n & -n
-        out.append(low.bit_length() - 1)
-        n ^= low
-    return out
+    return [*_B0[n & 255], *_B1[n >> 8 & 255], *_B2[n >> 16 & 255], *_B3[n >> 24]]
 
 
 def fun2set(f: Sequence[int]) -> list[int]:

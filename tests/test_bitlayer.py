@@ -1,18 +1,21 @@
 """The bit layer and base expansion against the model of the paper (tests/model.py).
 
 Set, function, run-length, tuple, bitmerge and power-of-two-base codecs
-read and write big codes through bit strings; nat2set, set2nat, fun2nat
-and from_tuple keep a word-sized loop for small ones, and other bases
-split along a radix tree.  Every function is checked against the model
-on both sides of the small-code cutoff (every code below 3000 or 5000,
-every bit length 0..80, sets ending at each bit up to past the cutoff,
-and tuples of every arity to 11 whose merge crosses it), on the radix
-tree's edges, on hypothesis-drawn inputs up to 4096 bits and, for the
-bases, from 4096 to 65536 bits, and once at 65536 bits.  A timed
-65536-bit round trip guards the linear cost.
+read and write big codes through bit strings; for small ones nat2set reads
+byte tables and set2nat, fun2nat and from_tuple keep a word-sized loop,
+tuples of one component are the component itself, and other bases split
+along a radix tree.  Every function is checked against the model on both
+sides of the small-code cutoff (every code below 3000 or 5000, and below
+2**16 for nat2set, every bit length 0..80 with 2**j - 1, 2**j and
+2**j + 1, sets ending at each bit up to past the cutoff, and tuples of
+every arity to 11 whose merge crosses it), on the radix tree's edges, on
+hypothesis-drawn inputs up to 4096 bits and, for the bases, from 4096 to
+65536 bits, and once at 65536 bits.  A timed 65536-bit round trip guards
+the linear cost.
 """
 
 import random
+import re
 
 import pytest
 
@@ -20,7 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import model  # noqa: E402
-from conftest import _budget, big_naturals, naturals  # noqa: E402
+from conftest import _budget, big_naturals, natural_error, naturals  # noqa: E402
 from hfcodec.hftree import Atom, Forest, codec_hfs, serialize  # noqa: E402
 from hfcodec.natbits import (  # noqa: E402
     _LOOP_BITS,
@@ -124,7 +127,7 @@ def loop_bit_inputs():
     # cutoff at a few densities
     codes = set()
     for bits in range(81):
-        codes |= {nat_of_bits(rng, bits), (1 << bits) - 1, (1 << bits) >> 1}
+        codes |= {nat_of_bits(rng, bits), (1 << bits) - 1, (1 << bits) >> 1, (1 << bits) + 1}
     for top in range(_LOOP_BITS + 9):
         for density in (0.1, 0.5, 0.9):
             codes.add(model.set2nat([e for e in range(top) if rng.random() < density] + [top]))
@@ -153,6 +156,12 @@ def test_codes_on_both_sides_of_the_loop_bits_match_the_model(bits):
         check_tuples(n, (1, 2, 3, 5))
     for ns in merges:
         check_merge(ns)
+
+
+def test_nat2set_reads_every_code_below_2_16_as_the_model_does():
+    # every byte of a one- and a two-byte code, through the tables of both
+    codes = range(1 << 16)
+    assert list(map(nat2set, codes)) == list(map(model.nat2set, codes))
 
 
 @pytest.mark.parametrize("base", BASES)
@@ -256,12 +265,8 @@ BIG = nat_of_bits(random.Random(65536), 65536)
 def test_65536_bits_match_the_model():
     check_sets(BIG)
     check_runs(BIG)
-    t3 = model.to_tuple(3, BIG)
-    assert to_tuple(3, BIG) == t3
-    assert from_tuple(t3) == BIG
-    xy = tuple(model.to_tuple(2, BIG))
-    assert bitmerge_unpair(BIG) == xy
-    assert bitmerge_pair(xy) == BIG
+    for n in (BIG, BIG ^ 1):  # one of them even, which nat2ftuple deals at arity 1
+        check_tuples(n, (1, 3))
     check_bases(BIG, (2, 3, 4, 8, 10, 16, 32, 64))
 
 
@@ -347,6 +352,31 @@ def test_bool_or_non_int_input_raises(call):
     error, run = NON_NATURAL_CALLS[call]
     with pytest.raises(error):
         run()
+
+
+class Natural(int):
+    pass
+
+
+# each kernel with a path of its own for one component or a small code
+KERNELS = {
+    "nat2set": nat2set,
+    "nat2fun": nat2fun,
+    "nat2rle": nat2rle,
+    "to_tuple(1, m)": lambda m: to_tuple(1, m),
+    "to_tuple(2, m)": lambda m: to_tuple(2, m),
+    "nat2ftuple": nat2ftuple,
+    "from_tuple([m])": lambda m: from_tuple([m]),
+    "ftuple2nat([m])": lambda m: ftuple2nat([m]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("m", (True, -1, 1.0, Natural(5)), ids=repr)
+def test_kernels_refuse_a_non_natural_by_its_message(name, m):
+    error, message = natural_error(m)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        KERNELS[name](m)
 
 
 @pytest.mark.parametrize("size", (-1, -5))

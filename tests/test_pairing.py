@@ -2,6 +2,8 @@ import pytest
 
 import model
 from conftest import natural_error
+from hfcodec import pairing
+from hfcodec.hftree import codec_hff1, rank, unrank
 from hfcodec.natbits import _LOOP_BITS
 from hfcodec.pairing import (
     bitmerge_pair,
@@ -62,8 +64,32 @@ def test_tuple_arity_errors():
 
 
 def test_ftuple_rejects_singleton_zero():
-    with pytest.raises(ValueError, match="collide"):
+    with pytest.raises(ValueError, match=r"^\[0\] has no code; it would collide with the empty tuple$"):
         ftuple2nat([0])
+
+
+def test_one_component_tuples_make_no_long_bit_string(monkeypatch):
+    # a tuple of one component is that component: nat2ftuple of an even
+    # code, ftuple2nat of a 1-tuple and every level of an hff1 chain deal
+    # and merge no bit string past the merge loop's cut.  The chain ends
+    # at code 1, the pair (0, 0), whose bit string is one bit long
+    widths = []
+
+    def spy(f, width):
+        def recorded(x):
+            widths.append(width(x))
+            return f(x)
+        return recorded
+
+    monkeypatch.setattr(pairing, "_rbitstr", spy(pairing._rbitstr, int.bit_length))
+    monkeypatch.setattr(pairing, "_rbitstr2nat", spy(pairing._rbitstr2nat, len))
+    monkeypatch.setattr(pairing, "_merge",
+                        spy(pairing._merge, lambda ns: len(ns) * max(map(int.bit_length, ns))))
+    assert nat2ftuple(1 << 5000) == [1 << 4999]
+    assert ftuple2nat([1 << 4999]) == 1 << 5000
+    c = codec_hff1()
+    assert rank(c, unrank(c, 1 << 2000)) == 1 << 2000
+    assert widths and max(widths) <= _LOOP_BITS
 
 
 def test_negative_inputs_rejected():
