@@ -32,22 +32,19 @@ from typing import Iterable, Iterator, Sequence
 # nat2set (setfun) concatenates one table tuple per byte of the code, and
 # set2nat and fun2nat (setfun) and from_tuple (pairing) loop over the set
 # bits, checking each element inside the loop; bigger codes go through a
-# bit string.  Timed against the string paths on the calls each workload
-# of the benchmark makes (recorded, then best of 15 interleaved timings;
-# CPython 3.11.7 on a shared 2-vCPU VM): nat2set, set2nat and fun2nat get
-# codes of at most 20 bits in small-enum and, but for a handful, at most
-# 12 in wide-tree; there the encoders' loops take 0.3-0.6 of the string's
-# time.  nat2set's tables take 0.20 us a call on 12-bit codes, 0.28 on 20
-# and 0.44 on 32, where a loop over the set bits takes 0.72, 1.10 and 2.3
-# (best of 7 on 1000 random codes; 3.12.1 and 3.13.0 read 0.28-0.29 against
-# 0.88-0.95 us at 12 bits).  On random half-full sets set2nat's loop still
-# wins at 32 bits (1.52 against 1.58 us) and loses from 36.  from_tuple's
-# calls in small-enum stop at 20 bits; in big-flat's hff1 trees its loop
-# wins up to 24 bits and loses from 25 (2.50 against 2.10 us at 25 bits,
-# 5.7 against 4.1 at 32), but those 25-32-bit calls add up to about 5 ms of
-# a 15 s run.  So no workload's calls say to move the cut, and it stays at
-# 32.  to_tuple has no such loop: its divmod per set bit already lost to
-# slicing at 16 bits.
+# bit string.  The cut is set by those loops, timed against the string
+# paths on the calls each workload of the benchmark makes (recorded, then
+# best of 15 interleaved timings; CPython 3.11.7 on a shared 2-vCPU VM).
+# set2nat and fun2nat get codes of at most 20 bits in small-enum and, but
+# for a handful, at most 12 in wide-tree; there the loops take 0.3-0.6 of
+# the string's time.  On random half-full sets set2nat's loop still wins at
+# 32 bits (1.52 against 1.58 us) and loses from 36.  from_tuple's calls in
+# small-enum stop at 20 bits; in big-flat's hff1 trees its loop wins up to
+# 24 bits and loses from 25 (2.50 against 2.10 us at 25 bits, 5.7 against
+# 4.1 at 32), but those 25-32-bit calls add up to about 5 ms of a 15 s
+# run.  So no workload's calls say to move the cut, and it stays at 32,
+# which nat2set's four byte tables cover.  to_tuple has no such loop: its
+# divmod per set bit already lost to slicing at 16 bits.
 _LOOP_BITS = 32
 
 # digits of int() and format() for the power-of-two bases up to 32; in
@@ -142,11 +139,10 @@ def _rbitstr2nat(bs: bytes | bytearray) -> int:
     return int(bs[::-1], 2) if bs else 0
 
 
-# _divmod hands a division to the built-in divmod once its quotient or its
-# divisor has at most this many bits, the value CPython 3.12's
-# Lib/_pylong.py uses.  Re-timed on CPython 3.11.7 (best of 9, 5 at 262144
-# bits; 2-vCPU Xeon VM), in ms for a limit on the quotient of 2000 / 4000 /
-# 8000 bits: fr 4.63 / 4.61 / 4.66 at 65536 bits and
+# _divmod hands a division to the built-in divmod once its quotient has at
+# most this many bits, the value CPython 3.12's Lib/_pylong.py uses.  Re-timed
+# on CPython 3.11.7 (best of 9, 5 at 262144 bits; 2-vCPU Xeon VM), in ms for
+# a limit of 2000 / 4000 / 8000 bits: fr 4.63 / 4.61 / 4.66 at 65536 bits and
 # 32.7 / 32.4 / 34.0 at 262144; to_base(10, n) 5.66 / 5.63 / 5.98 and
 # 36.0 / 36.3 / 38.7; the CLI's decimal output 2.01 / 1.94 / 2.11 and
 # 17.4 / 17.1 / 18.2.  No other value measures better beyond the noise.
@@ -159,14 +155,11 @@ def _divmod(a: int, b: int) -> tuple[int, int]:
     CPython 3.11's divmod is quadratic; this is Burnikel & Ziegler's 2n-by-n
     recursion ("Fast Recursive Division", MPI-I-98-1-022, 1998), so its
     time goes into Karatsuba products.  A quotient longer than b is made
-    to fit by shifting both operands left by s, which leaves it unchanged;
-    a divisor of at most _DIV_LIMIT bits goes to the built-in instead.
+    to fit by shifting both operands left by s, which leaves it unchanged.
     From 3.12 the built-in recurses the same way for big operands; 3.12
     and 3.13 were not timed with this one in front of it.
     """
     n = b.bit_length()
-    if n <= _DIV_LIMIT:  # the built-in is linear in a here; the shift would pad b
-        return divmod(a, b)
     s = max(0, a.bit_length() - 2 * n + 1)  # then a << s < 2**(n + s) * (b << s)
     q, r = _div2n1n(a << s, b << s, n + s)
     return q, r >> s

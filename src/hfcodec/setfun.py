@@ -79,12 +79,8 @@ def nat2set(n: int) -> list[int]:
     """Positions of the set bits of n, in increasing order."""
     if type(n) is not int or n < 0:
         _check_natural(n)
-    if n < 0x100:
-        return [*_B0[n]]
-    if n < 0x10000:
+    if n < 0x10000:  # _B1[0] is empty, so this covers codes of one byte too
         return [*_B0[n & 255], *_B1[n >> 8]]
-    if n < 0x1000000:
-        return [*_B0[n & 255], *_B1[n >> 8 & 255], *_B2[n >> 16]]
     if int.bit_length(n) > _LOOP_BITS:
         return list(compress(count(), _rbitstr(n).translate(_CHAR_VALUES)))
     return [*_B0[n & 255], *_B1[n >> 8 & 255], *_B2[n >> 16 & 255], *_B3[n >> 24]]

@@ -229,8 +229,8 @@ def test_divmod_around_the_limit(q_bits, b_bits):
 
 @pytest.mark.parametrize("b_bits", [1, 2, 3, 64, 1000, _DIV_LIMIT, _DIV_LIMIT + 1, 8000, 16000])
 def test_divmod_is_divmod_on_dividends_up_to_262144_bits(b_bits):
-    # a divisor of at most _DIV_LIMIT bits goes to the built-in at once, and
-    # a longer one through the recursion, whatever the quotient's length
+    # a short divisor is shifted up to half the dividend's length, so the
+    # recursion sees a long quotient by divisors of every length
     rng = random.Random(b_bits)
     b = rng.getrandbits(b_bits) | 1 << (b_bits - 1)
     for a_bits in (b_bits, 2 * b_bits + 1, 65536, 262144):
@@ -239,17 +239,14 @@ def test_divmod_is_divmod_on_dividends_up_to_262144_bits(b_bits):
         assert _divmod(a - 1, b) == divmod(a - 1, b)
 
 
-def test_no_big_quotient_by_a_long_divisor_reaches_the_builtin_divmod(monkeypatch):
+def test_no_big_quotient_reaches_the_builtin_divmod(monkeypatch):
     # the tree cuts of fr, nat2perm and to_base and the CLI's decimal
-    # chunks divide in _divmod, which hands the built-in a long quotient
-    # only by a divisor of at most _DIV_LIMIT bits, where its time is
-    # linear in the dividend (fr's top cut here divides 8768 bits by 3876)
+    # chunks divide in _divmod, which hands the built-in only short quotients
     quotient_bits = []
 
     def spy(a, b):
         q, r = builtins.divmod(a, b)
-        if b.bit_length() > _DIV_LIMIT:
-            quotient_bits.append(q.bit_length())
+        quotient_bits.append(q.bit_length())
         return q, r
 
     monkeypatch.setattr(natbits, "divmod", spy, raising=False)
