@@ -5,8 +5,13 @@ permutation of size k splits into its Lehmer code, whose digit i counts
 the later entries smaller than entry i.  The two meet in nth2perm: the k
 factoradic digits of a lexicographic rank below k!, high zeros kept, are
 its Lehmer code.  Sizes are chained by sf(k) = 0! + ... + (k-1)!, giving
-a single numbering of all finite permutations in order of size; nat2perm
-splits the rank that to_sf leaves into its k digits directly.
+a single numbering of all finite permutations in order of size.  In
+factoradic, sf(k) is k ones, so n - sf(k) is n's own digits less one
+each, with borrows (Laisant, "Sur la numération factorielle", 1888;
+Lehmer, "Teaching Combinatorial Tricks to a Computer", 1960): from
+sf(129) up, nat2perm splits n itself and takes the ones off in one pass,
+building neither sf(k) nor k!; below, to_sf reads k and the rank from
+tables.
 
 Factoradics split and join the radices 1, 2, 3, ... along a balanced
 binary tree (natbits._radix_split/_radix_join, which keep a
@@ -222,9 +227,26 @@ def to_sf(n: int) -> tuple[int, int]:
 
 
 def nat2perm(n: int) -> list[int]:
-    """The n-th finite permutation, ordered by size then lexicographically."""
-    k, rank = to_sf(n)
-    return _rank2perm(k, k, rank)
+    """The n-th finite permutation, ordered by size then lexicographically.
+
+    At or above sf(129), n's own factoradic digits less sf(k)'s, which
+    are all ones, are the Lehmer code: no sf(k) or k! is built.
+    """
+    if type(n) is not int or n < _SUMS[-1]:
+        k, rank = to_sf(n)
+        return _rank2perm(k, k, rank)
+    ds = fr(n)
+    # subtract 1 from each digit, borrowing (i + 1) from digit i + 1; a
+    # borrow out of the top digit, which is then 1, means n < sf(len(ds)),
+    # so k is one less and that top digit is spent
+    borrow = 0
+    for i, d in enumerate(ds):
+        d -= 1 + borrow
+        borrow = d < 0
+        ds[i] = d + i + 1 if borrow else d
+    if borrow:
+        ds.pop()
+    return lehmer2perm(ds[::-1])
 
 
 def perm2nat(ps: Sequence[int]) -> int:

@@ -9,6 +9,9 @@ function view of the same bits.
 
 Sets of codes above natbits._LOOP_BITS bits are read and written through
 their ASCII bit string, so every codec here is linear in the bit length.
+nat2fun reads a function's values off that string as the lengths of its
+runs of zeros, with one bytes.split, and fun2nat checks each value and
+marks its bit in a string as long as the values' sum says, in one loop.
 Below it, nat2set concatenates the bit positions of each byte of the
 code from tables built at import, and set2nat and fun2nat check each
 element and OR in its bit in one loop.
@@ -119,13 +122,40 @@ def fun2nat(f: Sequence[int]) -> int:
             _check_natural(v)
         acc += v + 1
         if acc >= _LOOP_BITS:  # past the loop's bits: the bit-string path
-            return _set2nat(fun2set(f))
+            return _fun2nat(f)
         n |= 1 << acc
     return n
 
 
+def _fun2nat(f: Sequence[int]) -> int:
+    # If every value is a natural, the set ends at bit sum(f) + len(f) - 1.
+    # A bad value can make the sum raise or come out too small, so the sum
+    # decides no error: the loop checks each value before it marks its bit,
+    # and when the sum fails, a value is bad or a mark falls past the sum's
+    # end, fun2set raises for the first bad value.
+    try:
+        buf = bytearray(b"0") * (sum(f) + len(f))  # least significant bit first
+        acc = -1
+        for v in f:
+            if type(v) is not int or v < 0:
+                break
+            acc += v + 1
+            buf[acc] = 0x31  # ord("1")
+        else:
+            return int(buf[::-1], 2)
+    except Exception:
+        pass
+    return _set2nat(fun2set(f))
+
+
 def nat2fun(n: int) -> list[int]:
-    """Decode a tuple of naturals; inverse of fun2nat."""
+    """Decode a tuple of naturals; inverse of fun2nat.
+
+    Above _LOOP_BITS bits the values are the lengths of the runs of zeros
+    in n's little-endian bit string, which ends in a 1: one bytes.split.
+    """
+    if type(n) is int and n >> _LOOP_BITS > 0:
+        return list(map(len, _rbitstr(n).split(b"1")))[:-1]
     return _set2fun(nat2set(n))
 
 

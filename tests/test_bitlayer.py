@@ -270,6 +270,24 @@ def test_65536_bits_match_the_model():
     check_bases(BIG, (2, 3, 4, 8, 10, 16, 32, 64))
 
 
+def patterned(k):
+    """2**k, 2**k - 1, and 0x55... and 0xAA... cut to k bits."""
+    mask = (1 << k) - 1
+    return [1 << k, mask, int("5" * (k // 4 + 1), 16) & mask, int("a" * (k // 4 + 1), 16) & mask]
+
+
+@pytest.mark.parametrize("k", (33, 64, 4096, 65536))
+def test_zero_runs_of_patterned_codes_match_the_model(k):
+    # past _LOOP_BITS, nat2fun reads the runs of zeros between ones, and the
+    # run after the top one is empty: these codes end in runs of every kind
+    for n in patterned(k):
+        f, runs = model.nat2fun(n), model.nat2rle(n)
+        assert nat2fun(n) == f
+        assert fun2nat(f) == n
+        assert nat2rle(n) == runs
+        assert rle2nat(runs) == n
+
+
 def test_65536_bit_round_trips_stay_linear():
     # a quadratic loop over these codes takes ~2 s; the linear paths ~0.08 s
     n = BIG

@@ -12,7 +12,8 @@ exact edges (k! and sf(k) plus or minus one) on both sides of the
 crossover and of the size tables, on long digit lists with digits above
 their bound, and on every permutation of size at most 7 and around the
 leaf size, where the errors must also be the same on both sides.  A
-timed 262144-bit round trip guards the cost.
+timed 262144-bit round trip guards the cost, and nat2perm from sf(129)
+up must match the model with sf and math.factorial made to fail.
 """
 
 import math
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import model  # noqa: E402
 from conftest import big_naturals, natural_error  # noqa: E402
+from hfcodec import permcodec  # noqa: E402
 from hfcodec.natbits import (  # noqa: E402
     _RADIX_LEAF,
     DigitList,
@@ -166,6 +168,21 @@ BIG = random.Random(65536).getrandbits(65536) | (1 << 65535)
 def test_65536_bits_match_the_model():
     check_factoradics(BIG)
     check_permutations(BIG)
+
+
+def test_nat2perm_builds_no_sf_or_factorial_from_sf_129_up(monkeypatch):
+    # from sf(129) up, nat2perm takes sf(k)'s factoradic ones off n's own
+    # digits; sf(130) - 1 is the edge where that borrows past the top digit
+    codes = (BIG, sf(129), sf(129) + 1, sf(130) - 1, sf(130))
+    want = [model.nat2perm(n) for n in codes]
+
+    def refuse(*args):
+        raise AssertionError("nat2perm built sf(k) or k!")
+
+    monkeypatch.setattr(permcodec, "sf", refuse)
+    monkeypatch.setattr(permcodec, "factorial", refuse)
+    for n, ps in zip(codes, want):
+        assert nat2perm(n) == ps
 
 
 def test_262144_bit_factoradic_and_permutation_round_trips_are_fast():

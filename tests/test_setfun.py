@@ -131,3 +131,32 @@ def test_an_unsorted_set_is_refused_before_its_bits_are_set():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# --- bad values once the running total is past the loop's bits -------------------
+
+# past bit _LOOP_BITS the values' sum sizes the bit string, but it must decide
+# no error: it raises on a str, overflows a float against 1 << 4096, and
+# comes out too small when a value is negative
+BAD_VALUES = [True, 1.5, "x", None, -1, -(1 << 4096)]
+HEADS_PAST_THE_LOOP_BITS = [[_LOOP_BITS + 1], [1] * _LOOP_BITS, [1000, 5], [1 << 4096]]
+
+
+@pytest.mark.parametrize("tail", [[], [1, 2]], ids=["last", "inside"])
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=["True", "1.5", "x", "None", "-1", "-2**4096"])
+@pytest.mark.parametrize("head", HEADS_PAST_THE_LOOP_BITS, ids=["33", "ones", "1000", "2**4096"])
+def test_bad_values_past_the_loop_bits_raise_the_natural_error(head, bad, tail):
+    exc, message = natural_error(bad)
+    for f in (fun2nat, rle2nat):
+        with pytest.raises(exc) as info:
+            f(head + [bad] + tail)
+        assert str(info.value) == message
+
+
+def test_a_negative_value_that_sinks_the_sum_raises_the_natural_error():
+    # the sum of [1000, -2000] is below the first value's bit
+    exc, message = natural_error(-2000)
+    for f in (fun2nat, rle2nat):
+        with pytest.raises(exc) as info:
+            f([1000, -2000])
+        assert str(info.value) == message
