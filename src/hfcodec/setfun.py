@@ -131,21 +131,22 @@ def _fun2nat(f: Sequence[int]) -> int:
     # If every value is a natural, the set ends at bit sum(f) + len(f) - 1.
     # A bad value can make the sum raise or come out too small, so the sum
     # decides no error: the loop checks each value before it marks its bit,
-    # and when the sum fails, a value is bad or a mark falls past the sum's
-    # end, fun2set raises for the first bad value.
+    # and where the sum fails or a mark falls past its end, the old path's
+    # fun2set raises for the first bad value.
     try:
         buf = bytearray(b"0") * (sum(f) + len(f))  # least significant bit first
-        acc = -1
+    except Exception:  # a value's own __add__ may raise anything
+        return _set2nat(fun2set(f))
+    acc = -1
+    try:
         for v in f:
             if type(v) is not int or v < 0:
-                break
+                _check_natural(v)
             acc += v + 1
             buf[acc] = 0x31  # ord("1")
-        else:
-            return int(buf[::-1], 2)
-    except Exception:
-        pass
-    return _set2nat(fun2set(f))
+    except IndexError:  # a later value is negative
+        return _set2nat(fun2set(f))
+    return int(buf[::-1], 2)
 
 
 def nat2fun(n: int) -> list[int]:

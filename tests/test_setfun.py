@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 
@@ -136,14 +137,15 @@ def test_an_unsorted_set_is_refused_before_its_bits_are_set():
 # --- bad values once the running total is past the loop's bits -------------------
 
 # past bit _LOOP_BITS the values' sum sizes the bit string, but it must decide
-# no error: it raises on a str, overflows a float against 1 << 4096, and
-# comes out too small when a value is negative
-BAD_VALUES = [True, 1.5, "x", None, -1, -(1 << 4096)]
+# no error: it raises on a str, overflows a float against 1 << 4096, raises
+# InvalidOperation on a signalling NaN, and comes out too small when a value
+# is negative
+BAD_VALUES = [True, 1.5, "x", None, Decimal("sNaN"), -1, -(1 << 4096)]
 HEADS_PAST_THE_LOOP_BITS = [[_LOOP_BITS + 1], [1] * _LOOP_BITS, [1000, 5], [1 << 4096]]
 
 
 @pytest.mark.parametrize("tail", [[], [1, 2]], ids=["last", "inside"])
-@pytest.mark.parametrize("bad", BAD_VALUES, ids=["True", "1.5", "x", "None", "-1", "-2**4096"])
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=["True", "1.5", "x", "None", "sNaN", "-1", "-2**4096"])
 @pytest.mark.parametrize("head", HEADS_PAST_THE_LOOP_BITS, ids=["33", "ones", "1000", "2**4096"])
 def test_bad_values_past_the_loop_bits_raise_the_natural_error(head, bad, tail):
     exc, message = natural_error(bad)
