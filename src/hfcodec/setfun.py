@@ -131,8 +131,9 @@ def _fun2nat(f: Sequence[int]) -> int:
     # If every value is a natural, the set ends at bit sum(f) + len(f) - 1.
     # A bad value can make the sum raise or come out too small, so the sum
     # decides no error: the loop checks each value before it marks its bit,
-    # and where the sum fails or a mark falls past its end, the old path's
-    # fun2set raises for the first bad value.
+    # and where the sum or the string fails, or a mark falls past the
+    # string's end, _set2nat(fun2set(f)) raises: fun2set for the first bad
+    # value, _set2nat for a string too long to make.
     try:
         buf = bytearray(b"0") * (sum(f) + len(f))  # least significant bit first
     except Exception:  # a value's own __add__ may raise anything
