@@ -28,13 +28,15 @@ from dataclasses import dataclass
 from math import log2, prod
 from typing import Iterable, Iterator, Sequence
 
-# Codes of at most this many bits stay off the bit string in four places:
-# nat2set (setfun) concatenates one table tuple per byte of the code, and
-# set2nat and fun2nat (setfun) and from_tuple (pairing) loop over the set
-# bits, checking each element inside the loop; bigger codes go through a
-# bit string.  The cut is set by those loops, timed against the string
-# paths on the calls each workload of the benchmark makes (recorded, then
-# best of 15 interleaved timings; CPython 3.11.7 on a shared 2-vCPU VM).
+# Codes of at most this many bits stay off the bit string: nat2set (setfun)
+# concatenates one table tuple per byte of the code, to_tuple and
+# from_tuple (pairing) at arity 2 and 3 gather and spread the code's bytes
+# through tables, set2nat and fun2nat (setfun) and from_tuple at other
+# arities loop over the set bits, checking each element inside the loop,
+# and rle2nat (setfun) undoes its XOR in five fixed steps; bigger codes go
+# through a bit string.  The cut is set by those loops, timed against the
+# string paths on the calls each workload of the benchmark makes (recorded,
+# then best of 15 interleaved timings; CPython 3.11.7 on a shared 2-vCPU VM).
 # set2nat and fun2nat get codes of at most 20 bits in small-enum and, but
 # for a handful, at most 12 in wide-tree; there the loops take 0.3-0.6 of
 # the string's time.  On random half-full sets set2nat's loop still wins at
@@ -43,8 +45,9 @@ from typing import Iterable, Iterator, Sequence
 # 24 bits and loses from 25 (2.50 against 2.10 us at 25 bits, 5.7 against
 # 4.1 at 32), but those 25-32-bit calls add up to about 5 ms of a 15 s
 # run.  So no workload's calls say to move the cut, and it stays at 32,
-# which nat2set's four byte tables cover.  to_tuple has no such loop: its
-# divmod per set bit already lost to slicing at 16 bits.
+# which nat2set's four byte tables cover.  to_tuple at arities above 3
+# has no such loop: its divmod per set bit already lost to slicing at 16
+# bits.
 _LOOP_BITS = 32
 
 # digits of int() and format() for the power-of-two bases up to 32; in

@@ -10,20 +10,49 @@ Three pairings with different growth profiles:
 dealing the bits of n round-robin into k streams (bitmerge is their
 k == 2 case), and ``ftuple2nat``/``nat2ftuple`` extend that to tuples of
 arbitrary length by folding the length into a pepis pair.  The streams
-are strided slices of the bit string, linear in the bit length;
-``to_tuple`` slices at every size, while ``from_tuple`` merges at most
-natbits._LOOP_BITS bits with one loop that checks each component and ORs
-in its set bits.  A tuple of one component is that component, so arity 1
-builds no bit string in either direction; ``nat2ftuple`` deals every even
-code at that arity.
+are strided slices of the bit string, linear in the bit length.
+
+Codes of at most natbits._LOOP_BITS (32) bits at arity 2 and 3 go
+through tables built at import instead.  ``from_tuple`` spreads each
+component a byte at a time, _S2[b] (_S3[b]) putting bit i of byte b at
+bit 2i (3i), once every component is a natural of at most 16 (10) bits.
+``to_tuple`` gathers a byte (9 bits) of the code at a time, _G2 (_G3)
+holding all of its components' bits in one packed entry.  Other arities
+slice, except that ``from_tuple`` merges at most _LOOP_BITS bits with
+one loop that checks each component and ORs in its set bits.  A tuple
+of one component is that component, so arity 1 builds no bit string in
+either direction; ``nat2ftuple`` deals every even code at that arity.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .natbits import _LOOP_BITS, _check_int, _check_natural, _int_text, _rbitstr, _rbitstr2nat
+
+
+def _bit_table(width: int, place: Callable[[int], int]) -> tuple[int, ...]:
+    """Entry b, for every b below 2**width: bit i of b moved to bit place(i)."""
+    table = [0]
+    for i in range(width):  # the values with bit i set follow those without
+        bit = 1 << place(i)
+        table += [v | bit for v in table]
+    return tuple(table)
+
+
+# Tables for codes of at most _LOOP_BITS bits, which is 32 (setfun's byte
+# tables fail at import otherwise).  _S2 and _S3 spread the low byte of a
+# component to every 2nd or 3rd bit, and _S2H and _S3H the byte above it.
+# _G2 gathers the even bits of a byte into bits 0-3 and its odd bits into
+# bits 16-19, and _G3 gathers 9 bits into three 3-bit fields 12 bits
+# apart, so that four lookups, shifted and ORed, deal a whole code.
+_S2 = _bit_table(8, lambda i: 2 * i)
+_S2H = _bit_table(8, lambda i: 2 * i + 16)
+_S3 = _bit_table(8, lambda i: 3 * i)
+_S3H = _bit_table(2, lambda i: 3 * i + 24)  # a 10-bit component's high bits
+_G2 = _bit_table(8, lambda i: i // 2 + 16 * (i % 2))
+_G3 = _bit_table(9, lambda i: i // 3 + 12 * (i % 3))
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -64,7 +93,9 @@ def bitmerge_pair(p: tuple[int, int]) -> int:
 
 def bitmerge_unpair(n: int) -> tuple[int, int]:
     """Split a bit string into its even-position and odd-position halves."""
-    x, y = to_tuple(2, n)
+    if type(n) is not int or n < 0:
+        _check_natural(n)
+    x, y = _deal(2, n)
     return x, y
 
 
@@ -77,7 +108,8 @@ def to_tuple(k: int, n: int) -> list[int]:
     _check_int(k, "arity")
     if k < 1:
         raise ValueError(f"arity must be >= 1, got {_int_text(k)}")
-    _check_natural(n)
+    if type(n) is not int or n < 0:
+        _check_natural(n)
     return _deal(k, n)
 
 
@@ -85,6 +117,13 @@ def _deal(k: int, n: int) -> list[int]:
     """to_tuple on a checked arity and natural."""
     if k == 1:
         return [n]
+    if n < 0x100000000:  # at most _LOOP_BITS bits
+        if k == 2:
+            t = _G2[n & 255] | _G2[n >> 8 & 255] << 4 | _G2[n >> 16 & 255] << 8 | _G2[n >> 24] << 12
+            return [t & 0xFFFF, t >> 16]
+        if k == 3:
+            t = _G3[n & 511] | _G3[n >> 9 & 511] << 3 | _G3[n >> 18 & 511] << 6 | _G3[n >> 27] << 9
+            return [t & 0xFFF, t >> 12 & 0xFFF, t >> 24]
     bs = _rbitstr(n)
     return [_rbitstr2nat(bs[i::k]) for i in range(k)]
 
@@ -96,16 +135,27 @@ def from_tuple(ns: Sequence[int]) -> int:
     result's bit string.
     """
     k = len(ns)
-    if k == 1:
+    if k == 2:
+        x, y = ns
+        if type(x) is int and type(y) is int and 0 <= x < 0x10000 and 0 <= y < 0x10000:
+            return _S2[x & 255] | _S2H[x >> 8] | (_S2[y & 255] | _S2H[y >> 8]) << 1
+    elif k == 3:
+        x, y, z = ns
+        if (type(x) is int and type(y) is int and type(z) is int
+                and 0 <= x < 1024 and 0 <= y < 1024 and 0 <= z < 1024):
+            return (_S3[x & 255] | _S3H[x >> 8] | (_S3[y & 255] | _S3H[y >> 8]) << 1
+                    | (_S3[z & 255] | _S3H[z >> 8]) << 2)
+    elif k == 1:
         m = ns[0]
         if type(m) is not int or m < 0:
             _check_natural(m)
         return m
     if k < 1:
         raise ValueError("cannot merge an empty tuple")
-    # a merge of at most _LOOP_BITS bits loops over the set bits, checking
-    # each component as it comes; a component of more than cut bits makes
-    # the merge longer, and sends the whole tuple to the bit string
+    # off the tables, a merge of at most _LOOP_BITS bits loops over the set
+    # bits, checking each component as it comes; a component of more than
+    # cut bits makes the merge longer, and sends the whole tuple to the bit
+    # string
     cut = _LOOP_BITS // k
     out = 0
     for i, m in enumerate(ns):

@@ -24,6 +24,11 @@ answer by bisecting tables of factorials and of their sums below 128!,
 and above it from the bit length with math.lgamma, so no loop here runs
 once per digit on a big integer.
 
+rf, and so lf, joins at most natbits._RADIX_LEAF digits in one loop
+from the top digit that checks each digit and folds it in as n * r + d;
+a bad digit leaves the list to the check in order, so the error names
+the lowest bad digit, as above the leaf.
+
 A permutation of at most natbits._RADIX_LEAF entries builds no digit
 list at all.  perm2nat and perm2nth find each entry among the
 still-unused values with bisect_left, refuse it there if it is missing,
@@ -90,6 +95,18 @@ def fr(n: int) -> list[int]:
 
 def rf(ds: Sequence[int]) -> int:
     """Evaluate digits against the weights 0!, 1!, 2!, ...; inverse of fr."""
+    k = len(ds)
+    if k <= _RADIX_LEAF:
+        # one loop from the top digit checks each digit and folds it in; a
+        # bad digit leaves it for the checks below, which name the first
+        n = 0
+        for d in reversed(ds):
+            if type(d) is not int or d < 0:
+                break
+            n = n * k + d
+            k -= 1
+        else:
+            return n
     for d in ds:
         _check_natural(d)
     return _radix_join(ds, range(1, len(ds) + 1))

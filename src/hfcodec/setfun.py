@@ -11,10 +11,12 @@ Sets of codes above natbits._LOOP_BITS bits are read and written through
 their ASCII bit string, so every codec here is linear in the bit length.
 nat2fun reads a function's values off that string as the lengths of its
 runs of zeros, with one bytes.split, and fun2nat checks each value and
-marks its bit in a string as long as the values' sum says, in one loop.
-Below it, nat2set concatenates the bit positions of each byte of the
-code from tables built at import, and set2nat and fun2nat check each
-element and OR in its bit in one loop.
+marks its bit in a string as long as the values' sum says, in one loop;
+a sum of 2**20 or more is trusted only once two passes in C find every
+value a natural.  Below it, nat2set concatenates the bit positions of
+each byte of the code from tables built at import, set2nat and fun2nat
+check each element and OR in its bit in one loop, and rle2nat undoes
+its XOR in five fixed shifts.
 """
 
 from __future__ import annotations
@@ -133,9 +135,14 @@ def _fun2nat(f: Sequence[int]) -> int:
     # decides no error: the loop checks each value before it marks its bit,
     # and where the sum or the string fails, or a mark falls past the
     # string's end, _set2nat(fun2set(f)) raises: fun2set for the first bad
-    # value, _set2nat for a string too long to make.
+    # value, _set2nat for a string too long to make.  A bad value could
+    # also make the sum too big, so a string of 2**20 bytes or more waits
+    # for two passes in C to find every value a natural.
     try:
-        buf = bytearray(b"0") * (sum(f) + len(f))  # least significant bit first
+        size = sum(f) + len(f)
+        if size >> 20 and (set(map(type, f)) != {int} or min(f) < 0):
+            raise ValueError("not a list of naturals")  # fun2set names the value
+        buf = bytearray(b"0") * size  # least significant bit first
     except Exception:  # a value's own __add__ may raise anything
         return _set2nat(fun2set(f))
     acc = -1
@@ -195,10 +202,17 @@ def nat2rle(n: int) -> list[int]:
 def rle2nat(rs: Sequence[int]) -> int:
     """Evaluate run lengths back to a natural; total on any list of naturals.
 
-    fun2nat marks the run ends; a suffix XOR (shifts doubling up to the
-    bit length) turns the marks back into the runs.
+    fun2nat marks the run ends; a suffix XOR (shifts of 1, 2, 4, 8 and 16
+    up to 32 bits, doubling on up to the bit length above) turns the marks
+    back into the runs.
     """
     n = fun2nat(rs)
+    if n < 0x100000000:  # at most _LOOP_BITS bits: five fixed steps
+        n ^= n >> 1
+        n ^= n >> 2
+        n ^= n >> 4
+        n ^= n >> 8
+        return n ^ n >> 16
     shift = 1
     while n >> shift:
         n ^= n >> shift

@@ -276,10 +276,11 @@ def patterned(k):
     return [1 << k, mask, int("5" * (k // 4 + 1), 16) & mask, int("a" * (k // 4 + 1), 16) & mask]
 
 
-@pytest.mark.parametrize("k", (33, 64, 4096, 65536))
+@pytest.mark.parametrize("k", (31, 32, 33, 64, 4096, 65536))
 def test_zero_runs_of_patterned_codes_match_the_model(k):
     # past _LOOP_BITS, nat2fun reads the runs of zeros between ones, and the
-    # run after the top one is empty: these codes end in runs of every kind
+    # run after the top one is empty; up to it, rle2nat takes five fixed
+    # shifts: these codes end in runs of every kind
     for n in patterned(k):
         f, runs = model.nat2fun(n), model.nat2rle(n)
         assert nat2fun(n) == f

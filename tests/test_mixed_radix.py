@@ -205,6 +205,21 @@ def test_rf_checks_every_digit_in_order():
         rf(ds)
 
 
+@pytest.mark.parametrize("size", [3, _RADIX_LEAF, _RADIX_LEAF + 1])
+def test_rf_and_lf_name_the_first_of_two_bad_digits(size):
+    # rf's leaf loop starts at the top digit, but the error names the
+    # lowest bad digit, and lf's is the lowest of the reversed list
+    ds = [0] * (size - 3) + [0, -1, "x"]
+    exc, message = natural_error(-1)
+    with pytest.raises(exc) as info:
+        rf(ds)
+    assert str(info.value) == message
+    exc, message = natural_error("x")
+    with pytest.raises(exc) as info:
+        lf(ds)
+    assert str(info.value) == message
+
+
 def test_long_digit_lists_are_checked():
     with pytest.raises(ValueError, match="digit 10 out of range for base 10"):
         from_base(10, [1] * 999 + [10])

@@ -162,3 +162,19 @@ def test_a_negative_value_that_sinks_the_sum_raises_the_natural_error():
         with pytest.raises(exc) as info:
             f([1000, -2000])
         assert str(info.value) == message
+
+
+def test_a_bad_value_before_a_big_one_is_refused_before_the_string_is_made():
+    # the sum of [40, -1, 1 << 24] asks for a 16 MB string: past 2**20 bits
+    # every value is checked first, and the first bad one is refused
+    exc, message = natural_error(-1)
+    for f in (fun2nat, rle2nat):
+        tracemalloc.start()
+        try:
+            with pytest.raises(exc) as info:
+                f([40, -1, 1 << 24])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 1 << 20
