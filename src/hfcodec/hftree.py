@@ -25,11 +25,13 @@ joined string is appended to the output as it is made, so the joins
 cost no more than the output they write.
 deserialize reads every subtree at most _GROUP_HEIGHT levels tall as one
 regex token and each distinct one once, so the regex engine does
-O(_GROUP_HEIGHT x text) work and Python works per distinct shallow
-subtree and per bracket of the taller ones; inside a group, each
-distinct atom text is converted once.  dag_to_dot takes one Python
-step per edge of the DAG, to find each node's last parent, and does its
-other work per edge in C.
+O(_GROUP_HEIGHT x text) work.  Python works once per distinct shallow
+subtree, once per bracket of the taller ones, and once per place where
+a shallow subtree sits in a taller one, which costs one dict lookup on
+its text; a new group with no bracket inside is cut by one str.split,
+not by the regex, and each distinct atom text is converted once.
+dag_to_dot takes one Python step per edge of the DAG, to find each
+node's last parent, and does its other work per edge in C.
 
 Five stock codecs are provided: hfs (hereditarily finite sets via the
 Ackermann encoding), hff (finite functions), hff1 (length-tagged
@@ -592,6 +594,11 @@ class _Reread(Exception):
     """Malformed text met by the grouped pass; the plain pass reports it."""
 
 
+# the entries of '(' and ')' in _parse's token memo, told apart by identity
+_OPEN: tuple[int, int] = (-1, 0)
+_CLOSE: tuple[int, int] = (-1, 1)
+
+
 def deserialize(text: str, max_depth: int | None = None) -> Tree:
     """Parse serialize() output back into a tree, reporting error positions.
 
@@ -602,7 +609,10 @@ def deserialize(text: str, max_depth: int | None = None) -> Tree:
     tall is a single token, and each distinct such token is read once: a
     repeat costs one dictionary lookup on its text.  So the regex engine
     does O(_GROUP_HEIGHT x text) work, while Python works once per
-    distinct shallow subtree and once per bracket of the taller ones.
+    distinct shallow subtree, once per bracket of the taller ones, and
+    once per token: each place where a shallow subtree sits in a taller
+    one is a lookup.  A new group with no bracket inside, which holds
+    atoms only, is cut by one str.split rather than by the regex.
     Malformed text is read a second time, one bracket per token, and
     that pass raises the error.
     """
@@ -625,59 +635,64 @@ def _parse(text: str, max_depth: int | None, pattern: re.Pattern[str]) -> Tree:
     nodes: list[Tree] = []  # by serial number
     atoms: dict[int, int] = {}  # _code_key(value) -> serial
     forests: dict[tuple[int, ...], int] = {}  # child serials -> serial
-    # group token -> its serial, and how many levels its brackets nest below
-    # its own; an atom inside a group -> its serial and -1
-    groups: dict[str, tuple[int, int]] = {}
+    # a group token -> its serial, and how many levels its brackets nest
+    # below its own; an atom token -> its serial and -1; the two brackets ->
+    # _OPEN and _CLOSE, so one lookup classifies every token
+    groups: dict[str, tuple[int, int]] = {"(": _OPEN, ")": _CLOSE}
+    # a forest may open while fewer than limit are open; no text nests as
+    # deep as it is long, and an atom's -1 below never reaches a limit of 0
+    limit = len(text) if max_depth is None else max(max_depth, 0)
 
-    def fail(message: str, k: int) -> Exception:
-        return _Reread() if grouped else _parse_error(message, text, k)
-
-    stack: list[list[int]] = []  # child serials of each open forest
+    children: list[int] | None = None  # child serials of the innermost open forest
+    stack: list[list[int] | None] = []  # children as each open forest was opened
     result: int | None = None
     for k, token in enumerate(findall(text)):
-        if token == "(":
+        hit = groups.get(token)
+        if hit is _OPEN:
             if result is not None:
-                raise fail("trailing input after complete tree", k)
-            if max_depth is not None and len(stack) >= max_depth:
-                raise fail(f"nesting exceeds depth limit {max_depth}", k)
-            stack.append([])
+                raise _fail(grouped, "trailing input after complete tree", text, k)
+            if len(stack) >= limit:
+                raise _fail(grouped, f"nesting exceeds depth limit {max_depth}", text, k)
+            stack.append(children)
+            children = []
             continue
-        if token == ")":
-            if not stack:
-                raise fail("unmatched ')'", k)
-            serial = _intern(tuple(stack.pop()), nodes, forests)
-        elif token[0] == "(":  # a group, cut by _GROUPED only
-            if result is not None:
-                raise _Reread
-            hit = groups.get(token)
+        if hit is _CLOSE:
+            if children is None:
+                raise _fail(grouped, "unmatched ')'", text, k)
+            serial = _intern(tuple(children), nodes, forests)
+            children = stack.pop()
+        else:
             if hit is None:
-                hit = groups[token] = _read_group(token, findall, nodes, atoms, forests, groups)
+                if token[0] == "(":  # a group, cut by _GROUPED only
+                    hit = groups[token] = _read_group(token, findall, nodes, atoms, forests, groups)
+                elif token[0] == "a":
+                    if result is not None:  # reported before a missing digit
+                        raise _fail(grouped, "trailing input after complete tree", text, k)
+                    if len(token) == 1:
+                        raise _fail(grouped, "atom tag 'a' without digits", text, k)
+                    hit = groups[token] = _atom(int(token[1:]), nodes, atoms), -1
+                else:
+                    raise _fail(grouped, f"unexpected character {token!r}", text, k)
             serial, below = hit
-            # its deepest '(' opens with len(stack) + below forests open
-            if max_depth is not None and len(stack) + below >= max_depth:
+            # a group's deepest '(' opens with len(stack) + below forests open
+            if len(stack) + below >= limit:
                 raise _Reread
-        elif token[0] == "a":
-            if result is not None:
-                raise fail("trailing input after complete tree", k)
-            if len(token) == 1:
-                raise fail("atom tag 'a' without digits", k)
-            value = int(token[1:])
-            key = value if value < _SMALL else _code_key(value)
-            serial = atoms.get(key)
-            if serial is None:
-                serial = atoms[key] = len(nodes)
-                nodes.append(Atom(value))
-        else:
-            raise fail(f"unexpected character {token!r}", k)
-        if stack:
-            stack[-1].append(serial)
-        else:
+        if children is not None:
+            children.append(serial)
+        elif result is None:
             result = serial
-    if stack or result is None:
+        else:
+            raise _fail(grouped, "trailing input after complete tree", text, k)
+    if children is not None or result is None:
         if grouped:
             raise _Reread
         raise ParseError("unclosed '('", len(text)) if stack else ParseError("empty input", 0)
     return nodes[result]
+
+
+def _fail(grouped: bool, message: str, text: str, k: int) -> Exception:
+    """_Reread in the grouped pass, else ParseError at the k-th token of text."""
+    return _Reread() if grouped else _parse_error(message, text, k)
 
 
 def _read_group(token: str, findall: Callable[..., list[str]], nodes: list[Tree],
@@ -686,29 +701,44 @@ def _read_group(token: str, findall: Callable[..., list[str]], nodes: list[Tree]
     """A new group token's serial, and how many levels nest below its brackets.
 
     Inside a group are atoms, spaces and shorter groups only, so there is
-    no bracket to match; anything else raises _Reread, and int("") the
-    ValueError for an 'a' without digits.  groups memoises the parts by
-    their text: a group as its serial and height below, an atom as its
-    serial and -1, so a repeated part costs one lookup.  The atom's value
-    is still interned in atoms, so 'a5' and 'a05' are one object.  The
-    state is passed in rather than closed over, so a parse leaves no
-    reference cycle behind.
+    no bracket to match.  A group with no bracket inside holds atoms
+    only, so one split on spaces cuts it; the empty parts that extra
+    spaces make are skipped.  A new part must be an 'a' and ASCII digits,
+    since int() alone would take '1_0', '+1' or '١'; if one is not, as in
+    'a1a2', which needs no space, or 'a1_0', which is malformed, the
+    group is read again by findall.  findall cuts a group with a bracket
+    inside too, and its atoms are always an 'a' and ASCII digits.
+    Anything else raises _Reread, and int("") the ValueError for an 'a'
+    without digits.  groups memoises the parts by their text: a group as
+    its serial and height below, an atom as its serial and -1, so a
+    repeated part costs one lookup.  The atom's value is still interned
+    in atoms, so 'a5' and 'a05' are one object.  The state is passed in
+    rather than closed over, so a parse leaves no reference cycle behind.
     """
+    # '((' opens a bracket inside, and findall is quicker than split on '()'
+    if token[1] not in "()" and token.find("(", 1) < 0:
+        children = []
+        for part in token[1:-1].split(" "):
+            hit = groups.get(part)
+            if hit is None:
+                if not part:
+                    continue
+                digits = part[1:]
+                if part[0] != "a" or not (digits.isascii() and digits.isdigit()):
+                    break  # atoms with no space between them, or no atom: findall reads it
+                hit = groups[part] = _atom(int(digits), nodes, atoms), -1
+            children.append(hit[0])
+        else:
+            return _intern(tuple(children), nodes, forests), 0
     children = []
     below = 0
     for part in findall(token, 1, len(token) - 1):
         hit = groups.get(part)
         if hit is None:
-            if part[0] == "a":
-                value = int(part[1:])
-                key = value if value < _SMALL else _code_key(value)
-                serial = atoms.get(key)
-                if serial is None:
-                    serial = atoms[key] = len(nodes)
-                    nodes.append(Atom(value))
-                hit = groups[part] = (serial, -1)
-            elif part[0] == "(":
+            if part[0] == "(":
                 hit = groups[part] = _read_group(part, findall, nodes, atoms, forests, groups)
+            elif part[0] == "a":
+                hit = groups[part] = _atom(int(part[1:]), nodes, atoms), -1
             else:
                 raise _Reread
         serial, part_below = hit
@@ -716,6 +746,16 @@ def _read_group(token: str, findall: Callable[..., list[str]], nodes: list[Tree]
             below = part_below + 1
         children.append(serial)
     return _intern(tuple(children), nodes, forests), below
+
+
+def _atom(value: int, nodes: list[Tree], atoms: dict[int, int]) -> int:
+    """The serial of the atom with this value, made if it is new."""
+    key = value if value < _SMALL else _code_key(value)
+    serial = atoms.get(key)
+    if serial is None:
+        serial = atoms[key] = len(nodes)
+        nodes.append(Atom(value))
+    return serial
 
 
 def _intern(children: tuple[int, ...], nodes: list[Tree], forests: dict[tuple[int, ...], int]) -> int:

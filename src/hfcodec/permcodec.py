@@ -24,7 +24,7 @@ answer by bisecting tables of factorials and of their sums below 128!,
 and above it from the bit length with math.lgamma, so no loop here runs
 once per digit on a big integer.
 
-rf, and so lf, joins at most natbits._RADIX_LEAF digits in one loop
+rf and lf each join at most natbits._RADIX_LEAF digits in one loop
 from the top digit that checks each digit and folds it in as n * r + d;
 a bad digit leaves the list to the check in order, so the error names
 the lowest bad digit, as above the leaf.
@@ -119,6 +119,19 @@ def fl(n: int) -> list[int]:
 
 def lf(ds: Sequence[int]) -> int:
     """Evaluate most-significant-first factoradic digits; inverse of fl."""
+    k = len(ds)
+    if k <= _RADIX_LEAF:
+        # rf's loop, from the top digit, which here comes first; a bad digit
+        # leaves the list to rf, whose checks name the same digit as above
+        # the leaf
+        n = 0
+        for d in ds:
+            if type(d) is not int or d < 0:
+                break
+            n = n * k + d
+            k -= 1
+        else:
+            return n
     return rf(list(ds)[::-1])
 
 

@@ -166,6 +166,8 @@ def test_deserialize_is_lenient_about_spacing():
     assert deserialize("( a1  a2 )") == F(Atom(1), Atom(2))
     for text in ("(a1a2)", "( a1   a2 )"):  # the model's tokens need no spaces between them
         assert model.plain(deserialize(text)) == model.deserialize(text) == (1, 2)
+        # the grouped pass reads them too: a split part 'a1a2' goes back to findall
+        assert model.plain(hftree._parse(text, None, hftree._GROUPED)) == (1, 2)
     assert deserialize(" () ") == F()
     assert deserialize("a7") == Atom(7)
 
@@ -189,6 +191,10 @@ def test_deserialize_is_lenient_about_spacing():
         ("(((", None, "unclosed '('", 3),
         ("a1 )", None, "unmatched ')'", 3),
         ("((((()))))", 3, "nesting exceeds depth limit 3", 3),
+        # int() takes the digits after each 'a', but the grammar does not
+        ("(a1_0)", None, "unexpected character '_'", 3),
+        ("(a+1)", None, "atom tag 'a' without digits", 1),
+        ("(a\u0661)", None, "atom tag 'a' without digits", 1),
     ],
 )
 def test_deserialize_errors_carry_positions(text, max_depth, message, pos):
@@ -610,6 +616,33 @@ def test_grouped_tokens_are_the_shallow_subtrees():
     assert tokens == ["(", "a1", "(())", "(", shallow, ")", "(", "a2", "x"]
 
 
+class CountingPattern:
+    """A compiled pattern whose findall calls are counted."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def findall(self, *args):
+        self.calls += 1
+        return self.pattern.findall(*args)
+
+
+def test_bracket_free_groups_are_split_not_searched(monkeypatch):
+    # a 4096-bit hfs code at ulimit 16 is one group token of about 43 KB
+    # holding about 2,000 distinct groups of atoms: findall cuts the text
+    # and that token, and each group of atoms is cut by one str.split
+    c = codec_hfs(16)
+    t = unrank(c, random.Random(25).getrandbits(4096) | 1 << 4095)
+    text = serialize(t)
+    assert len(text) > 40_000
+    counting = CountingPattern(hftree._GROUPED)
+    monkeypatch.setattr(hftree, "_GROUPED", counting)
+    parsed = hftree._parse(text, None, counting)
+    assert counting.calls <= 2
+    assert parsed == t
+    assert_fully_shared(parsed)
+
+
 @pytest.mark.parametrize("name", sorted(TREE_CODECS))
 @pytest.mark.parametrize("ulimit", [0, 2, 16])
 def test_deserialize_round_trips_fully_shared(name, ulimit):
@@ -665,14 +698,27 @@ def nesting(text):
     return deepest
 
 
+# atom texts that the grammar refuses, though int() reads the digits of
+# all but 'a1\t0'
+NOT_ATOMS = ("a1_0", "a+1", "a-1", "a\u0661", "a1\t0", "a1\t", "a 1")
+
+
 def mutations(text, rng):
     """text, and copies with one kind of edit: a bracket dropped or doubled,
     a character or an atom past int()'s digit limit inserted, spaces
-    doubled, or atoms written with leading zeros."""
+    doubled, atoms written with leading zeros, or an atom rewritten, or
+    one inserted, as a text of NOT_ATOMS."""
     brackets = [i for i, ch in enumerate(text) if ch in "()"]
+    atoms = [m.span() for m in re.finditer("a[0-9]+", text)]
     out = [text, text.replace(" ", "  "), text.replace("a", "a0"), " " + text + " "]
     j = rng.randrange(len(text) + 1)
     out.append(text[:j] + " a" + "1" * 5000 + " " + text[j:])
+    for s in NOT_ATOMS:
+        if atoms:
+            i, e = rng.choice(atoms)
+            out.append(text[:i] + s + text[e:])
+        j = rng.randrange(len(text) + 1)
+        out.append(text[:j] + " " + s + " " + text[j:])
     for _ in range(3):
         if brackets:  # an atom alone has none
             i = rng.choice(brackets)
