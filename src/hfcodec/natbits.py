@@ -13,13 +13,22 @@ convert between a natural and its little-endian bit string for
 
 Mixed-radix conversion (factoradics, and bases that are not powers of
 two) goes through ``_radix_split`` and ``_radix_join``, which divide
-top-down and multiply bottom-up along a balanced tree of radix products
-(Bernstein, "Fast multiplication and its applications", 2008, §§12-18;
-Knuth, TAOCP Vol. 2 §4.4).  The big multiplications run inside the
-interpreter's integer code, and the big divisions in ``_divmod``, which
-reduces each to Karatsuba products, so a conversion takes a few big
-operations per tree level instead of one Python step per digit, and is
-subquadratic in both directions.
+top-down and multiply bottom-up along a balanced binary tree whose leaves
+hold _RADIX_LEAF radices (Bernstein, "Fast multiplication and its
+applications", 2008, §§12-18; Knuth, TAOCP Vol. 2 §4.4).  Both use only
+the radix product of each pair's left node, and that node covers a whole
+aligned block of the radices: 1, 2, 3, ... for factoradics, so the block
+is the same for every digit count, or one base repeated, so every block
+of a level is the same power.  Factorial blocks are kept between calls
+in ``_FACTORIAL_BLOCKS``, filled on first use and bounded at 546,416
+bytes (the blocks up to radix 2**15; past it they are made per call); a
+base's powers are made once per call by squaring (Brent & Zimmermann,
+"Modern Computer Arithmetic", 2010, §1.7).  That memo is a table of
+constants like permcodec's factorials: no code or digit is kept.  The
+big multiplications run inside the interpreter's integer code, and the
+big divisions in ``_divmod``, which reduces each to Karatsuba products,
+so a conversion takes a few big operations per tree level instead of one
+Python step per digit, and is subquadratic in both directions.
 """
 
 from __future__ import annotations
@@ -59,10 +68,24 @@ _FORMAT_CODES = {2: "b", 8: "o", 16: "x"}
 
 # A mixed-radix conversion of at most this many digits is one
 # digit-at-a-time loop; longer ones go through a binary tree whose leaves
-# each hold this many radices and run that loop.  Measured on CPython 3.11,
-# the tree wins from about 200 factorial or decimal digits up, and leaves
-# of 32 to 128 radices time alike at 65536 bits.
+# each hold this many radices and run that loop.  The tree wins from about
+# 200 factorial or decimal digits up.  Re-timed with warm factorial blocks
+# (CPython 3.11.7, 2-vCPU Xeon VM, best of 25 interleaved), in ms for
+# leaves of 64 / 128 / 256 radices at 65536 bits: fr 3.18 / 3.65 / 4.28,
+# rf 2.06 / 2.08 / 2.14, to_base(10, n) 4.18 / 4.45 / 5.27, from_base(10,
+# ds) 3.03 / 2.98 / 2.97; at 262144 bits fr 24.3 / 25.7 / 28.8.  Leaves
+# of 64 split faster, but this is also permcodec's cut between its one-loop
+# permutation kernels and the tree, so it stays at 128 until the benchmark's
+# workloads, not only these calls, say to move it.
 _RADIX_LEAF = 128
+
+# Factorial radix products of whole tree nodes, (lo, width) -> (lo + 1) *
+# ... * (lo + width), kept between conversions by _factorial_block; empty
+# at import.  Only blocks that end at or below radix 2**15 are kept: they
+# cover every factoradic of up to 32768 digits, that is of codes below
+# 32768!, which has 444255 bits: past the CLI's 262144-bit decimal budget.
+_BLOCK_RADICES = 1 << 15
+_FACTORIAL_BLOCKS: dict[tuple[int, int], int] = {}
 
 
 @dataclass(frozen=True)
@@ -144,11 +167,12 @@ def _rbitstr2nat(bs: bytes | bytearray) -> int:
 
 # _divmod hands a division to the built-in divmod once its quotient has at
 # most this many bits, the value CPython 3.12's Lib/_pylong.py uses.  Re-timed
-# on CPython 3.11.7 (best of 9, 5 at 262144 bits; 2-vCPU Xeon VM), in ms for
-# a limit of 2000 / 4000 / 8000 bits: fr 4.63 / 4.61 / 4.66 at 65536 bits and
-# 32.7 / 32.4 / 34.0 at 262144; to_base(10, n) 5.66 / 5.63 / 5.98 and
-# 36.0 / 36.3 / 38.7; the CLI's decimal output 2.01 / 1.94 / 2.11 and
-# 17.4 / 17.1 / 18.2.  No other value measures better beyond the noise.
+# with warm factorial blocks on CPython 3.11.7 (best of 25 interleaved, 10
+# at 262144 bits; 2-vCPU Xeon VM), in ms for a limit of 2000 / 4000 / 8000
+# bits: fr 3.10 / 3.24 / 3.44 at 65536 bits and 23.1 / 23.9 / 25.1 at
+# 262144; to_base(10, n) 4.01 / 4.06 / 4.30 and 27.4 / 27.9 / 29.1; the
+# CLI's decimal output 1.86 / 1.78 / 2.00 and 16.1 / 16.8 / 17.1.  No value
+# measures better on all of them beyond the noise.
 _DIV_LIMIT = 4000
 
 
@@ -197,65 +221,118 @@ def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, 
     return q, r
 
 
-def _radix_split(n: int, radices: Sequence[int]) -> list[int]:
-    """Digits of n in the mixed radix: n == d[0] + r[0] * (d[1] + r[1] * (...)).
+def _factorial_block(lo: int, width: int, spill: dict[tuple[int, int], int]) -> int:
+    """(lo + 1) * (lo + 2) * ... * (lo + width): the factorial radices under
+    one tree node, whose width is _RADIX_LEAF << level and lo a multiple of it.
 
-    Digit i is below radices[i], one digit per radix, high zeros kept; n
-    must be below the product of all the radices.  Above _RADIX_LEAF
-    radices, n is cut top-down by products of neighbouring leaves' radices.
+    A block that ends at or below _BLOCK_RADICES is kept in
+    _FACTORIAL_BLOCKS, any other in spill, the calling conversion's own
+    dict.  A missing block is the product of its two halves, and at the
+    leaf width the product of its radices, so no block is made twice.
+    Full, _FACTORIAL_BLOCKS holds the 511 blocks of widths 128 to 32768,
+    546,416 bytes by sys.getsizeof (64-bit CPython 3.11 to 3.13).
+    """
+    memo = _FACTORIAL_BLOCKS if lo + width <= _BLOCK_RADICES else spill
+    p = memo.get((lo, width))
+    if p is None:
+        if width > _RADIX_LEAF:
+            half = width >> 1
+            p = _factorial_block(lo, half, spill) * _factorial_block(lo + half, half, spill)
+        else:
+            p = prod(range(lo + 1, lo + width + 1))
+        memo[lo, width] = p
+    return p
+
+
+def _left_products(k: int, base: int | None) -> list[list[int]]:
+    """Per level of the radix tree over k radices, from the leaves up to the
+    level of two nodes: the radix product of the left node of each pair.
+
+    Each such node covers a whole block of w = _RADIX_LEAF << level
+    radices.  Factorial blocks (base None) come from _factorial_block; for
+    one repeated base every block of a level is base ** w, made once per
+    call by squaring the level below.
+    """
+    levels = []
+    width, count = _RADIX_LEAF, -(-k // _RADIX_LEAF)  # count nodes of width radices
+    spill: dict[tuple[int, int], int] = {}
+    power = base
+    while count > 1:
+        if base is None:
+            levels.append([_factorial_block(2 * i * width, width, spill) for i in range(count // 2)])
+        else:
+            power = power ** _RADIX_LEAF if width == _RADIX_LEAF else power * power
+            levels.append([power] * (count // 2))
+        width, count = 2 * width, (count + 1) // 2
+    return levels
+
+
+def _leaf_radices(lo: int, count: int, base: int | None) -> Sequence[int]:
+    """The count radices after the first lo: lo + 1, lo + 2, ... or base each."""
+    return range(lo + 1, lo + count + 1) if base is None else [base] * count
+
+
+def _split_leaf(n: int, radices: Sequence[int], digits: list[int]) -> None:
+    """Append n's digits in radices to digits: the digit-at-a-time loop."""
+    for r in radices:
+        n, d = divmod(n, r)
+        digits.append(d)
+
+
+def _join_leaf(digits: Sequence[int], radices: Sequence[int]) -> int:
+    """Evaluate digits in radices: the digit-at-a-time loop, from the top."""
+    n = 0
+    for r, d in zip(reversed(radices), reversed(digits)):
+        n = n * r + d
+    return n
+
+
+def _radix_split(n: int, k: int, base: int | None = None) -> list[int]:
+    """Digits of n in k radices r, the factorial ones 1, 2, ..., k (base
+    None) or base repeated: n == d[0] + r[0] * (d[1] + r[1] * (...)).
+
+    Digit i is below r[i], high zeros kept; n must be below the product of
+    all k radices.  Above _RADIX_LEAF radices, n is cut top-down along a
+    tree whose leaves hold _RADIX_LEAF radices each, dividing by the radix
+    product of each pair's left node.
     """
     digits: list[int] = []
-    if len(radices) <= _RADIX_LEAF:  # one leaf: the digit-at-a-time loop
-        for r in radices:
-            n, d = divmod(n, r)
-            digits.append(d)
+    if k <= _RADIX_LEAF:
+        _split_leaf(n, _leaf_radices(0, k, base), digits)
         return digits
-    # an odd last node moves up alone; the root's product is never needed
-    level = [prod(radices[i:i + _RADIX_LEAF]) for i in range(0, len(radices), _RADIX_LEAF)]
-    levels = [level]
-    while len(level) > 2:
-        up = [a * b for a, b in zip(level[::2], level[1::2])]
-        if len(level) % 2:
-            up.append(level[-1])
-        levels.append(up)
-        level = up
     values = [n]  # one per node of the level above the one being cut
-    for level in reversed(levels):
+    for left in reversed(_left_products(k, base)):
         cut = []
-        for v, w in zip(values, level[:-1:2]):  # w: the left node of a pair
+        for v, w in zip(values, left):
             high, low = _divmod(v, w)
             cut += low, high
-        if len(level) % 2:  # the odd last node came up alone
+        if len(values) > len(left):  # the odd last node came up alone
             cut.append(values[-1])
         values = cut
-    for i, v in enumerate(values):
-        digits += _radix_split(v, radices[i * _RADIX_LEAF:(i + 1) * _RADIX_LEAF])
+    for lo, v in zip(range(0, k, _RADIX_LEAF), values):
+        _split_leaf(v, _leaf_radices(lo, min(_RADIX_LEAF, k - lo), base), digits)
     return digits
 
 
-def _radix_join(digits: Sequence[int], radices: Sequence[int]) -> int:
+def _radix_join(digits: Sequence[int], base: int | None = None) -> int:
     """Evaluate d[0] + r[0] * (d[1] + r[1] * (...)); inverse of _radix_split.
 
-    One radix per digit (the last is never used); digits may exceed their
-    radix.  Above _RADIX_LEAF radices, neighbouring (value, radix product)
-    pairs merge up from the leaves: (v, w), (u, x) -> (v + w * u, w * x).
+    The radices are 1, 2, 3, ... (base None) or base repeated, one per digit
+    (the last is never used); digits may exceed their radix.  Above
+    _RADIX_LEAF digits, neighbouring values merge up from the leaves as
+    v + w * u, w the radix product of the pair's left node.
     """
-    if len(radices) <= _RADIX_LEAF:  # one leaf: the digit-at-a-time loop
-        n = 0
-        for r, d in zip(reversed(radices), reversed(digits)):
-            n = n * r + d
-        return n
-    pairs = []
-    for i in range(0, len(radices), _RADIX_LEAF):
-        leaf = radices[i:i + _RADIX_LEAF]
-        pairs.append((_radix_join(digits[i:i + _RADIX_LEAF], leaf), prod(leaf)))
-    while len(pairs) > 2:  # an odd last pair moves up alone
-        up = [(v + w * u, w * x) for (v, w), (u, x) in zip(pairs[::2], pairs[1::2])]
-        if len(pairs) % 2:
-            up.append(pairs[-1])
-        pairs = up
-    (v, w), (u, _) = pairs  # the root's product would go unused
-    return v + w * u
+    k = len(digits)
+    if k <= _RADIX_LEAF:
+        return _join_leaf(digits, _leaf_radices(0, k, base))
+    values = [_join_leaf(digits[lo:lo + _RADIX_LEAF], _leaf_radices(lo, min(_RADIX_LEAF, k - lo), base))
+              for lo in range(0, k, _RADIX_LEAF)]
+    for left in _left_products(k, base):
+        up = [v + w * u for v, w, u in zip(values[::2], left, values[1::2])]
+        if len(values) % 2:  # an odd last value moves up alone
+            up.append(values[-1])
+        values = up
+    return values[0]
 
 
 def to_base(base: int, n: int) -> DigitList:
@@ -279,7 +356,7 @@ def to_base(base: int, n: int) -> DigitList:
     else:
         # base**size >= 2**bit_length * base > n, with a digit to spare
         size = int(n.bit_length() / log2(base)) + 2
-        digits = _radix_split(n, [base] * size)
+        digits = _radix_split(n, size, base)
         while len(digits) > 1 and digits[-1] == 0:
             digits.pop()
     return DigitList._trusted(base, tuple(digits))
@@ -308,7 +385,7 @@ def from_base(base: int, ds: DigitList | Iterable[int]) -> int:
             return int(bytes(digits)[::-1].translate(_VALUE_CHARS), base)
         width = base.bit_length() - 1
         return _rbitstr2nat(b"".join(_rbitstr(d).ljust(width, b"0") for d in digits))
-    return _radix_join(digits, [base] * len(digits))
+    return _radix_join(digits, base)
 
 
 def to_rbits(n: int) -> list[int]:

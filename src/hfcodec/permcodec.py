@@ -15,9 +15,13 @@ tables.
 
 Factoradics split and join the radices 1, 2, 3, ... along a balanced
 binary tree (natbits._radix_split/_radix_join, which keep a
-digit-at-a-time loop for short ones).  The split divides in
-natbits._divmod and the join multiplies, so both are subquadratic in the
-bit length; above the leaf, perm2lehmer and lehmer2perm still take one
+digit-at-a-time loop for short ones).  The split divides and the join
+multiplies by products of aligned blocks of those radices, the same for
+every digit count, which natbits keeps between calls up to radix 2**15:
+a warm conversion below 32768! multiplies no radices together.  The
+split's divisions run in natbits._divmod and the join's products in the
+interpreter's Karatsuba code, so both are subquadratic in the bit
+length; above the leaf, perm2lehmer and lehmer2perm still take one
 list.pop per entry, which is quadratic in the length of the permutation.
 fr, to_sf and nth2perm size their
 answer by bisecting tables of factorials and of their sums below 128!,
@@ -87,7 +91,7 @@ def fr(n: int) -> list[int]:
     _check_natural(n)
     if n == 0:
         return [0]
-    digits = _radix_split(n, range(1, _factorial_size(n) + 1))
+    digits = _radix_split(n, _factorial_size(n))
     while digits[-1] == 0:
         digits.pop()
     return digits
@@ -109,7 +113,7 @@ def rf(ds: Sequence[int]) -> int:
             return n
     for d in ds:
         _check_natural(d)
-    return _radix_join(ds, range(1, len(ds) + 1))
+    return _radix_join(ds)
 
 
 def fl(n: int) -> list[int]:
@@ -202,7 +206,7 @@ def _rank2perm(size: int, digits: int, rank: int) -> list[int]:
             d, rank = divmod(rank, _FACTORIALS[i])
             out.append(pool.pop(d))
         return out
-    ps = lehmer2perm(_radix_split(rank, range(1, digits + 1))[::-1])
+    ps = lehmer2perm(_radix_split(rank, digits)[::-1])
     return [*range(head), *(head + v for v in ps)] if head else ps
 
 
@@ -216,7 +220,7 @@ def _perm2rank(ps: Sequence[int], bump: int) -> int:
     """
     k = len(ps)
     if k > _RADIX_LEAF:
-        return _radix_join([d + bump for d in reversed(perm2lehmer(ps))], range(1, k + 1))
+        return _radix_join([d + bump for d in reversed(perm2lehmer(ps))])
     pool = list(range(k))
     n, r = 0, k  # r == len(pool)
     for v in ps:
@@ -233,7 +237,7 @@ def _perm2rank(ps: Sequence[int], bump: int) -> int:
 def sf(n: int) -> int:
     """Sum of factorials 0! + 1! + ... + (n-1)!; the code of the size-n identity."""
     _check_natural(n)
-    return _radix_join([1] * n, range(1, n + 1))
+    return _radix_join([1] * n)
 
 
 def to_sf(n: int) -> tuple[int, int]:

@@ -24,10 +24,15 @@ from . import hftree, natbits, pairing, permcodec, setfun, table
 
 _RANDOM_TRIALS = 20
 _RANDOM_BITS = 256
+# a few codes this long take the mixed-radix rows past two leaves of
+# natbits' radix tree (about 300 factoradic digits), which 256 bits
+# (about 58) never reach
+_LONG_TRIALS = 3
+_LONG_BITS = 2048
 
 
-def _randoms(rng: random.Random, count: int = _RANDOM_TRIALS) -> list[int]:
-    return [rng.getrandbits(_RANDOM_BITS) for _ in range(count)]
+def _randoms(rng: random.Random, count: int = _RANDOM_TRIALS, bits: int = _RANDOM_BITS) -> list[int]:
+    return [rng.getrandbits(bits) for _ in range(count)]
 
 
 def _law_base_round_trip(max_n: int, rng: random.Random) -> None:
@@ -62,16 +67,17 @@ def _law_bitcount_vs_search(max_n: int, rng: random.Random) -> None:
 
 
 def round_trips(row: table.FlatRow, stop: int, randoms: int, draws: int,
-                rng: random.Random) -> None:
+                rng: random.Random, longs: int = 0) -> None:
     """The round-trip law of one flat row, with the row's _CHECKS.
 
-    n -> x -> n over range(stop) and `randoms` random codes, at each of
-    the row's arities, then x -> n -> x over `draws` drawn structures.
+    n -> x -> n over range(stop), `randoms` random codes and `longs`
+    random _LONG_BITS-bit codes, at each of the row's arities, then
+    x -> n -> x over `draws` drawn structures.
     """
     check = _CHECKS.get(row.name, lambda n, x: True)
     for k in row.arities or [None]:
         decode = row.decoder(k)
-        for n in list(range(stop)) + _randoms(rng, randoms):
+        for n in list(range(stop)) + _randoms(rng, randoms) + _randoms(rng, longs, _LONG_BITS):
             x = decode(n)
             assert check(n, x) and row.encode(x) == n and k in (None, len(x)), (row.name, k, n)
     for _ in range(draws):
@@ -99,7 +105,7 @@ _Law = Callable[[int, random.Random], None]
 
 
 def _flat_law(names: Sequence[str], goldens: Callable[[], list[tuple[object, object]]],
-              cap: int | None = None, randoms: int = _RANDOM_TRIALS) -> _Law:
+              cap: int | None = None, randoms: int = _RANDOM_TRIALS, longs: int = 0) -> _Law:
     """The (got, want) pairs goldens() lists are equal, and each named flat
     row passes round_trips up to max_n, or up to cap if that is lower."""
     def law(max_n: int, rng: random.Random) -> None:
@@ -107,7 +113,7 @@ def _flat_law(names: Sequence[str], goldens: Callable[[], list[tuple[object, obj
             assert got == want, (got, want)
         for name in names:
             round_trips(table.FLAT[name], min(max_n, cap or max_n) + 1, randoms,
-                        _RANDOM_TRIALS, rng)
+                        _RANDOM_TRIALS, rng, longs)
     return law
 
 
@@ -191,7 +197,7 @@ LAWS: list[tuple[str, _Law]] = [
         (setfun.nat2rle(0), [])])),
     ("factoradic-round-trip", _flat_law(["factoradic-r", "factoradic-l"], lambda: [
         (permcodec.fr(42), [0, 0, 0, 3, 1]),
-        (permcodec.fl(42), [1, 3, 0, 0, 0])])),
+        (permcodec.fl(42), [1, 3, 0, 0, 0])], longs=_LONG_TRIALS)),
     ("perm-round-trip", _flat_law(["perm"], lambda: [
         (permcodec.nth2perm((5, 42)), [1, 4, 0, 2, 3]),
         (permcodec.perm2nth([1, 4, 0, 2, 3]), (5, 42)),
@@ -202,7 +208,7 @@ LAWS: list[tuple[str, _Law]] = [
         (permcodec.to_sf(2008), (7, 1134)),
         # nth2perm ranks in lexicographic order
         ([tuple(permcodec.nth2perm((k, r))) for k in range(5) for r in range(factorial(k))],
-         [p for k in range(5) for p in permutations(range(k))])])),
+         [p for k in range(5) for p in permutations(range(k))])], longs=_LONG_TRIALS)),
     *((f"{name}-round-trip", _tree_law(name)) for name in table.TREE),
     ("hfs-goldens", _law_hfs_goldens),
     ("render-goldens", _law_render_goldens),

@@ -196,13 +196,19 @@ def to_sf(n):
     return k, n - s
 
 
+def unlehmer(ls):
+    """The permutation whose Lehmer code is ls: digit d picks the d-th
+    smallest value not yet taken."""
+    pool = list(range(len(ls)))
+    return [pool.pop(d) for d in ls]
+
+
 def nth2perm(size, rank):
     """The permutation at lexicographic rank `rank` among those of `size`:
     its Lehmer code is rank's factoradic digits, most significant first,
-    led by zeros, and digit d picks the d-th smallest value not yet taken."""
+    led by zeros."""
     ds = fr(rank)[::-1] if rank else []
-    pool = list(range(size))
-    return [pool.pop(d) for d in [0] * (size - len(ds)) + ds]
+    return unlehmer([0] * (size - len(ds)) + ds)
 
 
 def perm2nth(ps):

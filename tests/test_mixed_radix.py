@@ -13,11 +13,14 @@ crossover and of the size tables, on long digit lists with digits above
 their bound, and on every permutation of size at most 7 and around the
 leaf size, where the errors must also be the same on both sides.  A
 timed 262144-bit round trip guards the cost, and nat2perm from sf(129)
-up must match the model with sf and math.factorial made to fail.
+up must match the model with sf and math.factorial made to fail.  The
+memo of factorial blocks is checked cold, warm and past its cap, and a
+warm memo must serve a code of the same length without a leaf product.
 """
 
 import math
 import random
+import sys
 import time
 from itertools import permutations
 
@@ -28,8 +31,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import model  # noqa: E402
 from conftest import big_naturals, natural_error  # noqa: E402
-from hfcodec import permcodec  # noqa: E402
+from hfcodec import natbits, permcodec, selfcheck  # noqa: E402
 from hfcodec.natbits import (  # noqa: E402
+    _BLOCK_RADICES,
     _RADIX_LEAF,
     DigitList,
     _list_text,
@@ -193,6 +197,81 @@ def test_262144_bit_factoradic_and_permutation_round_trips_are_fast():
     assert perm2nat(nat2perm(n)) == n
     elapsed = time.monotonic() - start
     assert elapsed < 1, f"took {elapsed:.2f}s, budget is 1s"
+
+
+# --- the memo of factorial blocks ------------------------------------------------
+
+# the bound that natbits._factorial_block's docstring states
+MEMO_BOUND = 546_416
+
+
+def memo_bytes():
+    return sum(map(sys.getsizeof, natbits._FACTORIAL_BLOCKS.values()))
+
+
+def test_a_warm_memo_serves_a_code_of_the_same_length_without_leaf_products(monkeypatch):
+    other = random.Random(65537).getrandbits(65536) | (1 << 65535)
+    ds, ps = model.fr(other), model.nat2perm(other)
+    fr(BIG)
+
+    def refuse(*args):
+        raise AssertionError("a leaf's radices were multiplied again")
+
+    monkeypatch.setattr(natbits, "prod", refuse)
+    assert fr(other) == ds
+    assert rf(ds) == other
+    assert nat2perm(other) == ps
+    assert perm2nat(ps) == other
+
+
+# one, two, two and a bit, and five and a bit leaves; and a count whose
+# tree has the leaf of radices 32769..32896 as a left node, past the cap
+MEMO_COUNTS = (_RADIX_LEAF + 1, 2 * _RADIX_LEAF, 2 * _RADIX_LEAF + 1, 5 * _RADIX_LEAF + 3,
+               _BLOCK_RADICES + _RADIX_LEAF + 3)
+
+
+@pytest.mark.parametrize("k", MEMO_COUNTS)
+def test_the_memo_cold_and_warm_matches_the_model(k, monkeypatch):
+    monkeypatch.setattr(natbits, "_FACTORIAL_BLOCKS", {})
+    rng = random.Random(k)
+    # n has exactly k factoradic digits, so they are, reversed, the Lehmer
+    # code of the size-k permutation of rank n, whose code is sf(k) + n; dec
+    # has exactly k decimal digits
+    n = rng.randrange(math.factorial(k - 1), math.factorial(k))
+    ds = model.fr(n)
+    ps, code = model.unlehmer(ds[::-1]), model.sf(k) + n
+    dec = rng.randrange(10 ** (k - 1), 10 ** k)
+    decs = model.to_base(10, dec)
+    assert len(ds) == len(ps) == len(decs) == k
+    for _ in ("cold", "warm"):
+        assert fr(n) == ds and fl(n) == ds[::-1]
+        assert rf(ds) == n and lf(ds[::-1]) == n
+        assert nth2perm((k, n)) == ps
+        assert perm2nth(ps) == (k, n)
+        assert nat2perm(code) == ps
+        assert perm2nat(ps) == code
+        assert list(to_base(10, dec)) == decs
+        assert from_base(10, decs) == dec
+        assert natbits._FACTORIAL_BLOCKS
+    assert all(lo + width <= _BLOCK_RADICES for lo, width in natbits._FACTORIAL_BLOCKS)
+    assert memo_bytes() <= MEMO_BOUND
+    assert f"{MEMO_BOUND:,} bytes" in natbits._factorial_block.__doc__
+
+
+def test_selfcheck_reaches_the_radix_tree(monkeypatch):
+    # its 256-bit codes have about 58 factoradic digits, inside one leaf
+    counts = {}
+    for name in ("_radix_split", "_radix_join"):
+        def spy(*args, name=name, f=getattr(permcodec, name)):
+            k = args[1] if name == "_radix_split" else len(args[0])
+            counts[name] = max(counts.get(name, 0), k)
+            return f(*args)
+        monkeypatch.setattr(permcodec, name, spy)
+    laws = dict(selfcheck.LAWS)
+    for law in ("factoradic-round-trip", "perm-round-trip"):
+        counts.clear()
+        laws[law](50, random.Random(13))
+        assert min(counts.values()) > 2 * _RADIX_LEAF and len(counts) == 2, law
 
 
 def test_rf_checks_every_digit_in_order():

@@ -261,8 +261,8 @@ def test_no_big_quotient_reaches_the_builtin_divmod(monkeypatch):
 
 def test_radix_split_equals_the_leaf_loop_at_262144_bits(monkeypatch):
     n = random.Random(5).getrandbits(262144)
-    factorials = range(1, _factorial_size(n) + 1)
-    thousands = [1000] * (262144 // 9 - 1)  # 1000**size > 2**262144 > n
-    split = [_radix_split(n, factorials), _radix_split(n, thousands)]
+    k = _factorial_size(n)
+    size = 262144 // 9 - 1  # 1000**size > 2**262144 > n
+    split = [_radix_split(n, k), _radix_split(n, size, 1000)]
     monkeypatch.setattr(natbits, "_RADIX_LEAF", 1 << 30)  # one leaf: the loop alone
-    assert split == [_radix_split(n, factorials), _radix_split(n, thousands)]
+    assert split == [_radix_split(n, k), _radix_split(n, size, 1000)]
