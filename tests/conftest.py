@@ -91,13 +91,14 @@ def recursion_limit(limit):
         sys.setrecursionlimit(old)
 
 
-def assert_same(got, want):
+def assert_same(got, want, context=""):
     """got == want for two sequences, reported by their first difference:
     pytest's own diff of two long texts can take minutes.  Two texts are
-    compared character by character and reported with 20 on each side."""
+    compared character by character and reported with 20 on each side,
+    after the context, if any."""
     if got != want:
         k, (a, b) = next((k, pair) for k, pair in enumerate(zip_longest(got, want))
                          if pair[0] != pair[1])
         if isinstance(got, str) and isinstance(want, str):
             a, b = got[max(k - 20, 0):k + 21], want[max(k - 20, 0):k + 21]
-        pytest.fail(f"item {k} differs: {a!r} against {b!r}")
+        pytest.fail(f"{context}{': ' if context else ''}item {k} differs: {a!r} against {b!r}")

@@ -15,6 +15,7 @@ expect valid input, and the tree ones recurse once per level.
 
 import re
 import sys
+from functools import partial
 from hashlib import sha256
 from itertools import accumulate, groupby
 from math import isqrt
@@ -51,13 +52,18 @@ def from_base(base, ds):
 
 
 def decimal(n):
-    """n as str() prints it with no int/str digit limit."""
+    """n as str() prints it with no int/str digit limit; n may also be a list."""
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         return str(n)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def listed(values):
+    """A list as the CLI prints it: as str() prints it, without the spaces."""
+    return decimal(list(values)).replace(" ", "")
 
 
 # --- sets, functions and runs -------------------------------------------------
@@ -224,6 +230,49 @@ def perm2nat(ps):
     return sf(len(ps)) + perm2nth(ps)[1]
 
 
+def fl(n):
+    """Factoradic digits, most significant first."""
+    return fr(n)[::-1]
+
+
+def lf(ds):
+    return rf(ds[::-1])
+
+
+# --- the flat codecs, by the CLI's names --------------------------------------
+
+# each flat codec's decode (a natural's list; tuple's takes the arity first)
+# and encode (its inverse)
+FLAT_CODECS = {
+    "set": (nat2set, set2nat),
+    "fun": (nat2fun, fun2nat),
+    "ftuple": (nat2ftuple, ftuple2nat),
+    "rle": (nat2rle, rle2nat),
+    "perm": (nat2perm, perm2nat),
+    "factoradic-r": (fr, rf),
+    "factoradic-l": (fl, lf),
+    "pair-cantor": (cantor_unpair, lambda p: cantor_pair(*p)),
+    "pair-pepis": (pepis_unpair, lambda p: pepis_pair(*p)),
+    "pair-bitmerge": (partial(to_tuple, 2), from_tuple),
+    "tuple": (to_tuple, from_tuple),
+}
+
+
+def flat_code(name, values, arity=None):
+    """The code of values under the flat codec name, or None where the codec
+    refuses them: a list its decode does not print, or a pair of the wrong
+    length.  rf and lf evaluate any digits, so a factoradic refuses none."""
+    decode, encode = FLAT_CODECS[name]
+    try:
+        n = encode(values)
+    except TypeError:  # a pair of the wrong length
+        return None
+    if encode in (rf, lf):
+        return n
+    decoded = decode(n) if arity is None else decode(arity, n)
+    return n if list(decoded) == list(values) else None
+
+
 # --- trees: the unfold, the fold, and their texts -------------------------------
 
 # each tree codec's expand (a natural's child codes) and collapse (its inverse)
@@ -250,6 +299,13 @@ def rank(codec, ulimit, t):
     if isinstance(t, int):
         return t
     return ulimit + TREE_CODECS[codec][1]([rank(codec, ulimit, c) for c in t])
+
+
+def tree_code(codec, ulimit, t):
+    """The code of tree t under a tree codec, or None where the codec refuses
+    it: a tree that unrank does not build."""
+    n = rank(codec, ulimit, t)
+    return n if unrank(codec, ulimit, n) == t else None
 
 
 def plain(t):

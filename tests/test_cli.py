@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from conftest import run_cli
-from hfcodec import cli, selfcheck, table
+from hfcodec import cli, selfcheck
 
 
 def test_decode_goldens(capsys):
@@ -80,30 +80,6 @@ def test_enumerate_goldens(capsys):
     assert out.splitlines() == ["[]", "[0]", "[0,1]"]
 
 
-# a dense 4096-bit code: an enumerate chunk holds 16 such codes, so a run
-# of 17 from it crosses into a second chunk
-DENSE = random.Random(15).getrandbits(4096) | 1 << 4095
-CROSSING = cli._CHUNK_BITS // 4096 + 1
-
-
-@pytest.mark.parametrize("flags", [
-    *([name, *(["--arity", "3"] if row.arities else []), "--format", fmt]
-      for name, row in table.FLAT.items() for fmt in ("list", "decimal")),
-    *([name, "--ulimit", ulimit, "--format", fmt]
-      for name in table.TREE for fmt in ("tree", "show", "decimal")
-      for ulimit in ("0", "2", "16")),
-], ids=" ".join)
-def test_enumerate_prints_what_each_decode_prints(capsys, flags):
-    code, out, err = run_cli(capsys, "enumerate", "--codec", *flags, str(DENSE), str(CROSSING))
-    assert (code, err) == (0, "")
-    want = ""
-    for n in range(DENSE, DENSE + CROSSING):
-        c, o, e = run_cli(capsys, "decode", "--codec", *flags, str(n))
-        assert (c, e) == (0, ""), n
-        want += o
-    assert out == want
-
-
 @pytest.mark.parametrize("codec", ["hfs", "hff1", "hfp"])
 def test_enumerate_fails_mid_chunk_after_the_lines_before(capsys, monkeypatch, codec):
     # the codes below 100 make one chunk; the first too deep for the limit
@@ -124,61 +100,17 @@ def test_enumerate_fails_mid_chunk_after_the_lines_before(capsys, monkeypatch, c
 def test_enumerate_memory_stays_near_one_chunk(monkeypatch):
     # 48 dense 4096-bit hfs codes print about 7 MB; in chunks of 16 the run
     # peaked at 6.3 MB, and unfolded and printed as one chunk at 14.3 MB
+    dense = random.Random(15).getrandbits(4096) | 1 << 4095
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
         try:
-            code = cli.main(["enumerate", "--codec", "hfs", str(DENSE), "48"])
+            code = cli.main(["enumerate", "--codec", "hfs", str(dense), "48"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert code == 0
     assert peak < 10 << 20, f"peaked at {peak} bytes"
-
-
-def test_dot_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "dot", "--codec", "hfs", "2")
-    assert code == 0
-    assert out.startswith("digraph")
-    assert "->" in out
-    code, out, _ = run_cli(capsys, "decode", "--codec", "hfs", "--format", "dot", "2")
-    assert code == 0
-    assert out.startswith("digraph")
-
-
-@pytest.mark.parametrize(
-    "codec",
-    ["set", "fun", "ftuple", "rle", "perm", "factoradic-r", "factoradic-l",
-     "pair-cantor", "pair-pepis", "pair-bitmerge"],
-)
-def test_flat_round_trip_through_cli(capsys, codec):
-    for n in range(121):
-        code, out, err = run_cli(capsys, "decode", "--codec", codec, str(n))
-        assert (code, err) == (0, ""), (codec, n)
-        code, out, _ = run_cli(capsys, "encode", "--codec", codec, out.strip())
-        assert code == 0 and out.strip() == str(n), (codec, n)
-
-
-def test_tuple_round_trip_through_cli(capsys):
-    for n in range(121):
-        code, out, _ = run_cli(capsys, "decode", "--codec", "tuple",
-                               "--arity", "4", str(n))
-        assert code == 0
-        code, out, _ = run_cli(capsys, "encode", "--codec", "tuple",
-                               "--arity", "4", out.strip())
-        assert code == 0 and out.strip() == str(n)
-
-
-@pytest.mark.parametrize("codec", ["hfs", "hff", "hff1", "hff2", "hfp"])
-@pytest.mark.parametrize("ulimit", ["0", "10"])
-def test_tree_round_trip_through_cli(capsys, codec, ulimit):
-    for n in range(121):
-        code, out, _ = run_cli(capsys, "decode", "--codec", codec,
-                               "--ulimit", ulimit, str(n))
-        assert code == 0, (codec, ulimit, n)
-        code, out, _ = run_cli(capsys, "encode", "--codec", codec,
-                               "--ulimit", ulimit, out.strip())
-        assert code == 0 and out.strip() == str(n), (codec, ulimit, n)
 
 
 @pytest.mark.parametrize(
@@ -211,8 +143,9 @@ def test_tree_round_trip_through_cli(capsys, codec, ulimit):
     ],
 )
 def test_usage_and_domain_errors_exit_2(capsys, argv):
+    # a refused input leaves no partial output
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2, argv
+    assert (code, out) == (2, ""), argv
     assert err != "", argv
 
 
