@@ -7,17 +7,18 @@ else is shifted down by ulimit, expanded, and decoded recursively.  rank
 folds a tree back to its number.  With ulimit 0 no atoms occur and the
 trees are pure nestings of empty forests.
 
-_unfold is the one unfold, of one root (unrank) or of several at once;
-rank, to_dag and Forest hashing are instances of the one post-order
-fold, _fold, which takes one loop step, one memo lookup and one append
-per edge.
+There is one unfold, _unfold, of one root (unrank) or several; one
+post-order fold, _fold, behind rank, Forest hashing, and to_dag and
+Forest equality, which share one numbering of distinct subtrees; one
+printer, _print; and one parser, _parse.  The fold takes one loop step,
+one memo lookup and one append per edge.
 
 Trees share their equal subtrees.  unrank expands each distinct code
 once and deserialize interns each distinct subtree once, so an equal
 subtree in two places is one object.  Every walk keeps a memo that lives
 for one call, or one enumerate chunk, only (code, id, serial number or
 text -> result); nothing is cached between calls.  So unrank, rank,
-to_dag and hashing cost O(distinct subtrees), not O(nodes), while
+to_dag, hashing and equality cost O(distinct subtrees), not O(nodes), while
 printing stays O(text length): it repeats a shared subtree's text
 instead of walking it again, and prints a forest that is new but whose
 children all have text already with one join of their texts.  Each
@@ -74,48 +75,33 @@ class Atom:
 class Forest:
     """Interior node holding an ordered sequence of subtrees.
 
-    Equality and hashing are structural; both walk the tree with
-    explicit stacks so that very deep trees compare and hash without
-    hitting the interpreter's recursion limit.  Hashing works once per
-    distinct subtree, and equality compares a subtree of the left tree
-    again only when it meets a different partner in the right tree, so
-    trees that share their equal subtrees (as unrank and deserialize
-    build them) compare and hash in time that grows with distinct
-    subtrees, not nodes.
+    Equality and hashing are structural folds (_fold), so they cost
+    O(distinct subtrees) and never recurse.  a == b numbers the distinct
+    subtrees of a and folds b through lookups in the same table: a
+    subtree that a lacks ends it with False, else the root numbers decide.
     """
 
     children: tuple["Tree", ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+        children = tuple(self.children)
+        for child in children:
+            if not isinstance(child, (Atom, Forest)):
+                raise TypeError(f"forest child must be Atom or Forest, got {type(child).__name__}")
+        object.__setattr__(self, "children", children)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Forest):
             return NotImplemented
-        # the right-hand forest each left-hand forest was last queued with:
-        # a left forest that recurs in a shared tree with the same partner
-        # is not queued again; empty forests are settled on the spot
-        stack: list[tuple[Forest, Forest]] = [(self, other)]
-        partner = {id(self): other}
-        while stack:
-            a, b = stack.pop()
-            if len(a.children) != len(b.children):
-                return False
-            for x, y in zip(a.children, b.children):
-                if x is y:
-                    continue
-                if type(x) is not type(y):
-                    return False
-                if isinstance(x, Atom):
-                    if x.value != y.value:
-                        return False
-                elif not x.children:
-                    if y.children:
-                        return False
-                elif partner.get(key := id(x)) is not y:
-                    partner[key] = y
-                    stack.append((x, y))
-        return True
+        if self is other:
+            return True
+        numbers: dict[int | tuple[int, ...], int] = {}
+        root = _fold(self, *_numbering(numbers))
+        try:
+            return root == _fold(other, lambda a: numbers[_code_key(a.value)],
+                                 lambda ns: numbers[tuple(ns)])
+        except KeyError:  # a subtree of other that self lacks
+            return False
 
     def __hash__(self) -> int:
         return _fold(self, hash, lambda hashes: hash((Forest, tuple(hashes))))
@@ -311,7 +297,7 @@ def rank(codec: Codec, t: Tree) -> int:
 
 
 def _fold(t: Tree, atom: Callable[[Atom], _R], forest: Callable[[list[_R]], _R]) -> _R:
-    """The post-order walk behind rank, to_dag and hashing.
+    """The post-order walk behind rank, to_dag, hashing and equality.
 
     Calls atom(a) at each leaf and forest(results) at each forest, where
     results holds its children's values left to right.  A node that t
@@ -785,7 +771,7 @@ class DagNode:
     children: tuple[int, ...]
 
 
-# to_dag sets the slots of each new node, as unrank does for a Forest
+# _numbering sets the slots of each new node, as unrank does for a Forest
 _set_id = DagNode.id.__set__
 _set_atom = DagNode.atom.__set__
 _set_dag_children = DagNode.children.__set__
@@ -812,34 +798,36 @@ class Dag:
         ]
 
 
-def to_dag(t: Tree) -> Dag:
-    """Merge identical subtrees of t; sharing is exact, keyed on child ids.
+def _numbering(numbers: dict[int | tuple[int, ...], int], nodes: list[DagNode] | None = None
+               ) -> tuple[Callable[[Atom], int], Callable[[list[int]], int]]:
+    """The atom and forest callbacks of a _fold that numbers distinct subtrees.
 
     An atom is keyed by _code_key of its value and a forest by the tuple
-    of its children's ids, so the two kinds of key never meet.  Nodes are
-    made without the dataclass __init__, as unrank makes forests.
+    of its children's numbers, so the two kinds of key never meet.  A new
+    key gets the next number, len(numbers), and its DagNode is appended
+    to nodes, if given, made without __init__, as unrank makes forests.
     """
-    interned: dict[int | tuple[int, ...], int] = {}
-    known = interned.get
+    known = numbers.get
+
+    def number(key: int | tuple[int, ...], atom: int | None = None) -> int:
+        n = known(key)
+        if n is None:
+            n = numbers[key] = len(numbers)
+            if nodes is not None:
+                node = _new(DagNode)
+                _set_id(node, n)
+                _set_atom(node, atom)
+                _set_dag_children(node, key if atom is None else ())
+                nodes.append(node)
+        return n
+
+    return lambda a: number(_code_key(a.value), a.value), lambda ns: number(tuple(ns))
+
+
+def to_dag(t: Tree) -> Dag:
+    """Merge identical subtrees of t; sharing is exact, keyed on child ids."""
     nodes: list[DagNode] = []
-
-    def intern(key: int | tuple[int, ...], atom: int | None, children: tuple[int, ...]) -> int:
-        nid = known(key)
-        if nid is None:
-            nid = interned[key] = len(nodes)
-            node = _new(DagNode)
-            _set_id(node, nid)
-            _set_atom(node, atom)
-            _set_dag_children(node, children)
-            nodes.append(node)
-        return nid
-
-    def forest(ids: list[int]) -> int:
-        children = tuple(ids)
-        return intern(children, None, children)
-
-    root = _fold(t, lambda a: intern(_code_key(a.value), a.value, ()), forest)
-    return Dag(root, tuple(nodes))
+    return Dag(_fold(t, *_numbering({}, nodes)), tuple(nodes))
 
 
 def dag_to_dot(dag: Dag, hash_len: int = 8) -> str:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import random
 from functools import partial
+from operator import le
 from typing import Callable, NamedTuple, Sequence
 
 from . import hftree, pairing, permcodec, setfun
+from .natbits import _int_text
 
 
 class FlatRow(NamedTuple):
@@ -47,6 +49,32 @@ def _pair_row(name: str, unpair: Callable[[int], tuple[int, int]],
             raise ValueError(f"{name} expects a pair [x,y], got {len(values)} values")
         return pair(*values)
     return FlatRow(name, unpair, encode, draw)
+
+
+def _factoradic_row(name: str, decode: Callable[[int], list[int]],
+                    join: Callable[[Sequence[int]], int], lsf: bool,
+                    draw: Callable[[random.Random, int], list[int]]) -> FlatRow:
+    """A factoradic row whose encode refuses what decode never prints.
+
+    join evaluates any digits, but decode prints digit i at most i, no
+    high zero but in the lone [0], and never [].  lsf says whether the
+    list holds the least significant digit first.
+    """
+    def encode(ds: Sequence[int]) -> int:
+        n = join(ds)  # refuses a digit that is not a natural
+        k = len(ds)
+        positions = range(k) if lsf else range(k - 1, -1, -1)
+        if not all(map(le, ds, positions)):  # in C: a big code has thousands of digits
+            j = next(j for j, (d, i) in enumerate(zip(ds, positions)) if d > i)
+            raise ValueError(f"{name} digit {_int_text(ds[j])} at index {j} "
+                             f"is above its position {positions[j]}")
+        if k == 0:
+            raise ValueError(f"{name} expects at least one digit, got []")
+        top = k - 1 if lsf else 0
+        if k > 1 and ds[top] == 0:
+            raise ValueError(f"{name} digit 0 at index {top} is a high zero")
+        return n
+    return FlatRow(name, decode, encode, draw)
 
 
 # --- draws: random valid structures with codes below 2**bits ------------
@@ -112,9 +140,9 @@ FLAT: dict[str, FlatRow] = {row.name: row for row in (
     FlatRow("ftuple", pairing.nat2ftuple, pairing.ftuple2nat, _draw_ftuple),
     FlatRow("rle", setfun.nat2rle, setfun.rle2nat, _draw_gaps),
     FlatRow("perm", permcodec.nat2perm, permcodec.perm2nat, _draw_perm),
-    FlatRow("factoradic-r", permcodec.fr, permcodec.rf, _draw_factoradic),
-    FlatRow("factoradic-l", permcodec.fl, permcodec.lf,
-            lambda rng, bits: _draw_factoradic(rng, bits)[::-1]),
+    _factoradic_row("factoradic-r", permcodec.fr, permcodec.rf, True, _draw_factoradic),
+    _factoradic_row("factoradic-l", permcodec.fl, permcodec.lf, False,
+                    lambda rng, bits: _draw_factoradic(rng, bits)[::-1]),
     # cantor codes x, y below 2**w below 2**(2w + 1)
     _pair_row("pair-cantor", pairing.cantor_unpair, pairing.cantor_pair,
               lambda rng, bits: tuple(_draw_tuple(rng, max(bits - 1, 0), 2))),

@@ -261,14 +261,12 @@ FLAT_CODECS = {
 def flat_code(name, values, arity=None):
     """The code of values under the flat codec name, or None where the codec
     refuses them: a list its decode does not print, or a pair of the wrong
-    length.  rf and lf evaluate any digits, so a factoradic refuses none."""
+    length."""
     decode, encode = FLAT_CODECS[name]
     try:
         n = encode(values)
     except TypeError:  # a pair of the wrong length
         return None
-    if encode in (rf, lf):
-        return n
     decoded = decode(n) if arity is None else decode(arity, n)
     return n if list(decoded) == list(values) else None
 

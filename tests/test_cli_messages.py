@@ -59,3 +59,19 @@ def test_messages_quote_at_most_40_characters(capsys, argv, tail):
     assert (code, out) == (2, "")
     assert err.endswith(tail + "\n")
     assert len(err.encode()) < 1000
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["factoradic-r", "[0,2]"], "factoradic-r digit 2 at index 1 is above its position 1"),
+    (["factoradic-l", "[2,0]"], "factoradic-l digit 2 at index 0 is above its position 1"),
+    (["factoradic-l", "[0,1]"], "factoradic-l digit 1 at index 1 is above its position 0"),
+    (["factoradic-r", "[0," + "9" * 5000 + "]"],
+     "factoradic-r digit <16610-bit integer> at index 1 is above its position 1"),
+    (["factoradic-r", "[0,0]"], "factoradic-r digit 0 at index 1 is a high zero"),
+    (["factoradic-l", "[0,1,0]"], "factoradic-l digit 0 at index 0 is a high zero"),
+    (["factoradic-r", "[]"], "factoradic-r expects at least one digit, got []"),
+], ids=["r-above", "l-above", "l-above-0", "r-huge", "r-high-zero", "l-high-zero", "r-empty"])
+def test_factoradic_encode_names_the_digit_its_decode_never_prints(capsys, argv, message):
+    # rf and lf evaluate any digits, but the CLI encodes only what it decodes
+    code, out, err = run_cli(capsys, "encode", "--codec", *argv)
+    assert (code, out, err) == (2, "", f"hfcodec: {message}\n")

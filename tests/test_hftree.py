@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import time
@@ -486,9 +487,10 @@ def test_65536_bit_hfs_costs_distinct_subtrees():
     assert 30_000 < len(dag.nodes) < 40_000
 
 
-def test_65536_bit_hfs_equality_costs_distinct_pairs():
-    # ~1.6 million node pairs but ~33 thousand distinct ones: comparing pair
-    # by pair takes ~2 s, once per distinct pair ~0.2 s
+def test_65536_bit_hfs_equality_costs_distinct_subtrees():
+    # ~1.6 million nodes but ~33 thousand distinct subtrees: equality numbers
+    # the distinct subtrees of one tree and looks up those of the other, in
+    # ~0.1 s, where comparing node by node takes ~2 s
     c = codec_hfs()
     n = random.Random(17).getrandbits(65536) | (1 << 65535)
     t = unrank(c, n)
@@ -522,6 +524,32 @@ def test_equality_on_shared_trees_finds_every_difference():
             for m in (n ^ 1, n ^ (1 << rng.randrange(1024)), n + 1):
                 u = unrank(codec, m)
                 assert u != t and t != u, (codec.name, n, m)
+
+
+def test_equality_cost_does_not_grow_with_partner_changes():
+    # each copy of x meets y1 and y2, equal trees but distinct objects, in
+    # turn: a walk that compares a subtree again whenever its partner changes
+    # would take ~8x as long at k = 400 as at k = 50
+    x = unrank(codec_hfs(), random.Random(31).getrandbits(4096) | (1 << 4095))
+    y1, y2 = deserialize(serialize(x)), deserialize(serialize(x))
+    times = {}
+    for k in (50, 400):
+        a, b = Forest((x,) * k), Forest((y1, y2) * (k // 2))
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            assert a == b
+            best = min(best, time.perf_counter() - start)
+        times[k] = best
+    assert times[400] < 2 * times[50], times
+
+
+def test_forest_refuses_a_child_that_is_not_a_tree():
+    for child in (1, "a1", None, (), [Atom(1)]):
+        with pytest.raises(TypeError, match=f"^forest child must be Atom or Forest, "
+                                            f"got {type(child).__name__}$"):
+            Forest((Atom(0), child))
+    assert Forest([Atom(0), F()]).children == (Atom(0), F())
 
 
 def test_memo_keys_survive_colliding_int_hashes():

@@ -69,11 +69,13 @@ def test_the_models_inverses_invert_each_other():
 
 
 def test_what_the_model_refuses():
-    # a codec refuses a structure its decode does not print; rf and lf
-    # evaluate any digits
+    # a codec refuses a structure its decode does not print, though rf and
+    # lf evaluate any digits
     assert m.flat_code("set", [2, 1]) is m.flat_code("perm", [1, 1]) is None
     assert m.flat_code("ftuple", [0]) is m.flat_code("pair-cantor", [1]) is None
     assert m.flat_code("tuple", [1, 2], 3) is None and m.flat_code("tuple", [1, 2], 2) == 9
-    assert m.flat_code("factoradic-r", [0, 2]) == m.flat_code("factoradic-l", [2, 0]) == 2
+    assert m.rf([0, 2]) == m.lf([2, 0]) == m.flat_code("factoradic-r", [0, 0, 1]) == 2
+    assert m.flat_code("factoradic-r", [0, 2]) is m.flat_code("factoradic-l", [2, 0]) is None
+    assert m.flat_code("factoradic-r", []) is m.flat_code("factoradic-l", [0, 0]) is None
     assert m.tree_code("hfs", 0, ((), ())) is m.tree_code("hfs", 2, 2) is None
     assert m.tree_code("hfs", 2, (0, 1)) == 5

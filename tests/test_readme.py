@@ -1,7 +1,9 @@
 """The README's examples: each fenced ``python`` block run as one doctest,
-and each ``$ hfcodec ...`` line of its ``sh`` blocks run through the CLI."""
+and each ``$ hfcodec ...`` line of its ``sh`` blocks run through the CLI;
+and the cut-overs its "Cost" section names, against their modules."""
 
 import doctest
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -48,3 +50,18 @@ def test_readme_command(capsys, command, expected):
         expected = expected[expected.index("...") + 1:]
         lines = lines[len(lines) - len(expected):]
     assert lines == expected
+
+
+# the README's "Cost" section writes each cut-over as `module._NAME` (value)
+COST = TEXT[TEXT.index("### Cost\n"):]
+CUTOVERS = re.findall(r"`(\w+)\.(_[A-Z_]+)`\s+\((\d+)(?:\*\*(\d+))?\)", COST)
+
+
+def test_cost_section_states_each_cutover_as_its_module_does():
+    assert {(module, name) for module, name, *_ in CUTOVERS} == {
+        ("natbits", "_LOOP_BITS"), ("natbits", "_RADIX_LEAF"), ("natbits", "_BLOCK_RADICES"),
+        ("natbits", "_DIV_LIMIT"), ("hftree", "_GROUP_HEIGHT"), ("hftree", "_SMALL"),
+        ("cli", "_CHUNK_BITS"), ("cli", "_DECIMAL_BITS"), ("cli", "_DEFAULT_DEPTH_LIMIT")}
+    for module, name, value, power in CUTOVERS:
+        stated = int(value) ** int(power) if power else int(value)
+        assert getattr(importlib.import_module(f"hfcodec.{module}"), name) == stated, (module, name)
